@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .datasynth import make_default_benchmark, read_split, write_split
 from .metrics import (
+    GRID_QUANTITIES,
     accuracy,
     classify,
     export_decision_grid,
@@ -37,8 +38,7 @@ from .trainer import (
     TrainConfig,
     TrainingDiverged,
     corruption_error_table,
-    evaluate_model,
-    mahalanobis_populations,
+    eval_report,
     score_populations,
     sweep,
     train,
@@ -220,22 +220,18 @@ def write_manifest_file(manifest: dict, out_dir: Path) -> None:
     _dump_json(doc, out_dir / "manifest.json")
 
 
-def _load_benchmark_dir(data_dir: Path, required: tuple[str, ...]) -> dict:
-    benchmark = {}
-    for role in ("train", "val", "test_id", "train_ood", "test_ood"):
-        path = data_dir / f"{role}.csv"
-        if path.exists():
-            try:
-                benchmark[role] = read_split(path, role=role)
-            except ValueError as exc:
-                raise DataError(str(exc)) from exc
-    missing = [r for r in required if r not in benchmark]
+def _load_benchmark_dir(data_dir: Path, roles: tuple[str, ...]) -> dict:
+    """Read exactly the named splits; every one must exist."""
+    missing = [r for r in roles if not (data_dir / f"{r}.csv").exists()]
     if missing:
         raise DataError(
             f"data directory {data_dir} is missing splits: "
             f"{', '.join(m + '.csv' for m in missing)}"
         )
-    return benchmark
+    try:
+        return {r: read_split(data_dir / f"{r}.csv", role=r) for r in roles}
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
 
 
 def _load_model(path) -> MlpModel:
@@ -311,8 +307,8 @@ def cmd_train(args) -> int:
     doc = load_config(args.config)
     config = train_config_from(doc, seed_override=args.seed)
     data_dir = Path(args.data)
-    required = ("train", "val") + (("train_ood",) if config.needs_ood() else ())
-    benchmark = _load_benchmark_dir(data_dir, required)
+    # validation measures OOD separation on train_ood for every objective
+    benchmark = _load_benchmark_dir(data_dir, ("train", "val", "train_ood"))
     model = init_mlp(
         [benchmark["train"].features.shape[1], *config.hidden_dims, config.k],
         config.dropout_rate,
@@ -347,62 +343,56 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    for flag, value, least in (
+        ("--mc-passes", args.mc_passes, 1),
+        ("--histogram-bins", args.histogram_bins, 1),
+        ("--grid-resolution", args.grid_resolution, 2),
+    ):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     score_kinds = _parse_scores(args.scores)
+    out_dir = _resolve_out(args.out, "eval")
     model = _load_model(args.model)
     data_dir = Path(args.data)
-    required = ("test_id", "test_ood") + (("train",) if args.mahalanobis else ())
-    benchmark = _load_benchmark_dir(data_dir, required)
-    if model.input_dim != benchmark["test_id"].features.shape[1]:
+    roles = ("test_id", "test_ood") + (("train",) if args.mahalanobis else ())
+    benchmark = _load_benchmark_dir(data_dir, roles)
+    test_id, test_ood = benchmark["test_id"], benchmark["test_ood"]
+    if model.input_dim != test_id.features.shape[1]:
         raise DataError(
             f"model expects {model.input_dim}-D inputs but data has "
-            f"{benchmark['test_id'].features.shape[1]} columns"
+            f"{test_id.features.shape[1]} columns"
         )
 
-    report = evaluate_model(
+    pops, id_predictions = score_populations(
         model,
-        benchmark,
+        test_id,
+        test_ood,
         mc_passes=args.mc_passes,
         seed=args.seed,
-        with_mahalanobis=args.mahalanobis,
+        train_split=benchmark.get("train"),
     )
+    report = eval_report(model, test_id, pops, id_predictions, args.mc_passes)
 
-    out_dir = _resolve_out(args.out, "eval")
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
 
-    # score dumps and histograms use the MC populations when available;
     # --scores narrows the exported kinds, never the results JSON
-    pops = score_populations(
-        model,
-        benchmark["test_id"],
-        benchmark["test_ood"],
-        mc_passes=args.mc_passes,
-        seed=args.seed,
-    )
-    pops = {kind: pops[kind] for kind in score_kinds}
-    if args.mahalanobis:
-        pops["mahalanobis"] = mahalanobis_populations(
-            model, benchmark["train"], benchmark["test_id"], benchmark["test_ood"]
-        )
-    for kind, (s_id, s_ood) in sorted(pops.items()):
+    exported = {
+        kind: pair for kind, pair in pops.items()
+        if kind in score_kinds or kind == "mahalanobis"
+    }
+    for kind, (s_id, s_ood) in sorted(exported.items()):
         name = f"scores_{kind}.csv"
         write_score_dump(out_dir / name, s_id, s_ood)
         outputs.append(name)
-    export_histograms(pops, args.histogram_bins, out_dir / "histograms.csv")
+    export_histograms(exported, args.histogram_bins, out_dir / "histograms.csv")
     outputs.append("histograms.csv")
 
     if model.input_dim == 2:
-        bounds = grid_bounds(
-            np.concatenate(
-                [benchmark["test_id"].features, benchmark["test_ood"].features]
-            )
-        )
-        for quantity in ("predicted_class", "confidence", "entropy"):
-            name = f"grid_{quantity}.csv"
-            export_decision_grid(
-                model, bounds, args.grid_resolution, quantity, out_dir / name
-            )
-            outputs.append(name)
+        bounds = grid_bounds(np.concatenate([test_id.features, test_ood.features]))
+        paths = {q: out_dir / f"grid_{q}.csv" for q in GRID_QUANTITIES}
+        export_decision_grid(model, bounds, args.grid_resolution, paths)
+        outputs.extend(p.name for p in paths.values())
 
     manifest = build_manifest(
         "eval",

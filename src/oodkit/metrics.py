@@ -11,7 +11,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .datasynth import CORRUPTION_KINDS, SEVERITIES
 from .nn import MlpModel, forward, softmax
@@ -39,11 +38,13 @@ def auc_roc(scores_id, scores_ood, orientation: str) -> float:
         raise ValueError("non-finite scores")
     if orientation == "higher_id":
         s_id, s_ood = -s_id, -s_ood
-    ranks = rankdata(np.concatenate([s_id, s_ood]))
-    rank_sum_ood = ranks[s_id.size:].sum()
-    n_id, n_ood = s_id.size, s_ood.size
-    u = rank_sum_ood - n_ood * (n_ood + 1) / 2.0
-    return float(u / (n_id * n_ood))
+    # U counts, per outlier, the ID scores strictly below it plus half
+    # the tied ones; twice U is an integer, so the sum is exact
+    sorted_id = np.sort(s_id)
+    below = np.searchsorted(sorted_id, s_ood, side="left")
+    at_or_below = np.searchsorted(sorted_id, s_ood, side="right")
+    u = float((below.sum() + at_or_below.sum()) / 2)
+    return u / (s_id.size * s_ood.size)
 
 
 def accuracy(predictions, labels) -> float:
@@ -103,16 +104,18 @@ def export_decision_grid(
     model: MlpModel,
     bounds: tuple[float, float, float, float],
     resolution: int,
-    quantity: str,
-    path,
+    paths: dict,
 ) -> None:
-    """Evaluate one quantity over a regular grid and write x0,x1,value.
+    """Evaluate quantities over a regular grid and write x0,x1,value CSVs.
 
-    Rows iterate x1 outer, x0 inner (x0 varies fastest).
+    paths maps each wanted quantity to its output file; one forward pass
+    over the grid serves them all. Rows iterate x1 outer, x0 inner (x0
+    varies fastest).
     """
-    if quantity not in GRID_QUANTITIES:
+    unknown = [q for q in paths if q not in GRID_QUANTITIES]
+    if unknown or not paths:
         raise ValueError(
-            f"quantity must be one of {GRID_QUANTITIES}, got {quantity!r}"
+            f"quantities must be some of {GRID_QUANTITIES}, got {list(paths)}"
         )
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
@@ -124,20 +127,23 @@ def export_decision_grid(
     xs = np.linspace(x0_min, x0_max, resolution)
     ys = np.linspace(x1_min, x1_max, resolution)
     gx, gy = np.meshgrid(xs, ys)  # row-major: x0 varies fastest
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    logits, _ = forward(model, pts, mode="eval")
-    if quantity == "predicted_class":
-        values = logits.argmax(axis=1)
-        fmt = lambda v: str(int(v))
-    else:
-        probs = softmax(logits)
-        values = probs.max(axis=1) if quantity == "confidence" else _entropy_rows(probs)
-        fmt = lambda v: repr(float(v))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x0", "x1", "value"])
-        for (px, py), v in zip(pts, values):
-            writer.writerow([repr(float(px)), repr(float(py)), fmt(v)])
+    logits, _ = forward(model, np.column_stack([gx.ravel(), gy.ravel()]), mode="eval")
+    probs = softmax(logits)
+    values = {
+        "predicted_class": logits.argmax(axis=1),
+        "confidence": probs.max(axis=1),
+        "entropy": _entropy_rows(probs),
+    }
+    x0s = [repr(v) for v in xs.tolist()]
+    prefixes = [f"{x0},{x1}," for x1 in map(repr, ys.tolist()) for x0 in x0s]
+    for quantity, path in paths.items():
+        fmt = str if quantity == "predicted_class" else repr
+        # the bytes csv.writer would write: no field here needs quoting
+        lines = [p + fmt(v) for p, v in zip(prefixes, values[quantity].tolist())]
+        with open(path, "w", newline="") as fh:
+            fh.write("x0,x1,value\r\n")
+            fh.write("\r\n".join(lines))
+            fh.write("\r\n")
 
 
 def export_histograms(

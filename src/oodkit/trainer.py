@@ -322,10 +322,12 @@ def train(
             idx = perm[start:start + config.batch_size]
             xb = train_split.features[idx]
             yb = train_split.labels[idx]
-            logits_in, trace_in = forward(
-                model, xb, mode="train",
-                seed=derive_seed(config.seed, STREAM_DROPOUT, dropout_counter),
+            # forward ignores the seed when dropout is off
+            mask_seed = (
+                derive_seed(config.seed, STREAM_DROPOUT, dropout_counter)
+                if model.dropout_rate > 0 else None
             )
+            logits_in, trace_in = forward(model, xb, mode="train", seed=mask_seed)
             dropout_counter += 1
             logits_out, trace_out = None, None
             if config.needs_ood():
@@ -565,12 +567,18 @@ def score_populations(
     test_ood: DatasetSplit,
     mc_passes: int = 1,
     seed: int = 0,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Raw (id, ood) score pairs for the softmax-statistic kinds."""
+    train_split: DatasetSplit | None = None,
+) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Raw (id, ood) score pairs per kind, and the ID class predictions.
+
+    The softmax kinds and the predictions come from one draw of
+    predictive samples. Given train_split, Mahalanobis scores over
+    penultimate features, fit on that split, are added.
+    """
     s_id, s_ood = predictive_samples_pair(
         model, test_id, test_ood, mc_passes=mc_passes, seed=seed
     )
-    return {
+    pops = {
         "confidence": (confidence_score(s_id), confidence_score(s_ood)),
         "entropy": (entropy_score(s_id), entropy_score(s_ood)),
         "mutual_information": (
@@ -578,6 +586,15 @@ def score_populations(
             mutual_information_score(s_ood),
         ),
     }
+    if train_split is not None:
+        detector = fit_mahalanobis(
+            penultimate_features(model, train_split.features), train_split.labels
+        )
+        pops["mahalanobis"] = tuple(
+            mahalanobis_score(detector, penultimate_features(model, split.features))
+            for split in (test_id, test_ood)
+        )
+    return pops, s_id.mean_probs().argmax(axis=1)
 
 
 _ORIENTATION = {
@@ -588,25 +605,35 @@ _ORIENTATION = {
 }
 
 
-def _auc_table(pops: dict[str, tuple]) -> dict[str, float]:
-    return {
-        kind: 100.0 * auc_roc(s_id, s_ood, _ORIENTATION[kind])
-        for kind, (s_id, s_ood) in pops.items()
-    }
-
-
-def mahalanobis_populations(
+def eval_report(
     model: MlpModel,
-    train_split: DatasetSplit,
     test_id: DatasetSplit,
-    test_ood: DatasetSplit,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mahalanobis scores over penultimate features, fit on the train split."""
-    feats_train = penultimate_features(model, train_split.features)
-    detector = fit_mahalanobis(feats_train, train_split.labels)
-    m_id = mahalanobis_score(detector, penultimate_features(model, test_id.features))
-    m_ood = mahalanobis_score(detector, penultimate_features(model, test_ood.features))
-    return m_id, m_ood
+    populations: dict[str, tuple[np.ndarray, np.ndarray]],
+    id_predictions: np.ndarray,
+    mc_passes: int,
+    mce_value: float | None = None,
+) -> EvalReport:
+    """Accuracy, per-kind AUC and warnings from score_populations' output."""
+    warnings: list[str] = []
+    if mc_passes > 1 and model.dropout_rate == 0:
+        warnings.append(
+            "mc_passes > 1 requested but the model has dropout_rate 0; "
+            "scores fall back to a single deterministic pass"
+        )
+    if mc_passes <= 1 or model.dropout_rate == 0:
+        warnings.append(
+            "mutual_information is identically zero for single-pass "
+            "deterministic evaluation; its AUC degenerates to 50.00"
+        )
+    return EvalReport(
+        id_accuracy=accuracy(id_predictions, test_id.labels),
+        auc={
+            kind: 100.0 * auc_roc(s_id, s_ood, _ORIENTATION[kind])
+            for kind, (s_id, s_ood) in populations.items()
+        },
+        mce=mce_value,
+        warnings=warnings,
+    )
 
 
 def evaluate_model(
@@ -628,53 +655,21 @@ def evaluate_model(
     for key in ("test_id", "test_ood"):
         if key not in benchmark:
             raise ValueError(f"benchmark is missing the {key!r} split")
+    if with_mahalanobis and "train" not in benchmark:
+        raise ValueError("mahalanobis evaluation needs the train split")
     test_id = benchmark["test_id"]
-    test_ood = benchmark["test_ood"]
-    warnings: list[str] = []
-
-    s_id, s_ood = predictive_samples_pair(
-        model, test_id, test_ood, mc_passes=mc_passes, seed=seed
+    pops, id_predictions = score_populations(
+        model,
+        test_id,
+        benchmark["test_ood"],
+        mc_passes=mc_passes,
+        seed=seed,
+        train_split=benchmark["train"] if with_mahalanobis else None,
     )
-    id_acc = accuracy(s_id.mean_probs().argmax(axis=1), test_id.labels)
-    pops = {
-        "confidence": (confidence_score(s_id), confidence_score(s_ood)),
-        "entropy": (entropy_score(s_id), entropy_score(s_ood)),
-        "mutual_information": (
-            mutual_information_score(s_id),
-            mutual_information_score(s_ood),
-        ),
-    }
-    auc = _auc_table(pops)
-    if mc_passes > 1 and model.dropout_rate == 0:
-        warnings.append(
-            "mc_passes > 1 requested but the model has dropout_rate 0; "
-            "scores fall back to a single deterministic pass"
-        )
-    if mc_passes <= 1 or model.dropout_rate == 0:
-        warnings.append(
-            "mutual_information is identically zero for single-pass "
-            "deterministic evaluation; its AUC degenerates to 50.00"
-        )
-
-    if with_mahalanobis:
-        if "train" not in benchmark:
-            raise ValueError("mahalanobis evaluation needs the train split")
-        m_id, m_ood = mahalanobis_populations(
-            model, benchmark["train"], test_id, test_ood
-        )
-        auc["mahalanobis"] = 100.0 * auc_roc(m_id, m_ood, "higher_id")
-
     mce_value = None
     if with_corruptions:
-        table = corruption_error_table(model, test_id, seed)
-        mce_value = mce(table)
-
-    return EvalReport(
-        id_accuracy=id_acc,
-        auc=auc,
-        mce=mce_value,
-        warnings=warnings,
-    )
+        mce_value = mce(corruption_error_table(model, test_id, seed))
+    return eval_report(model, test_id, pops, id_predictions, mc_passes, mce_value)
 
 
 def run_experiment(

@@ -6,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+import oodkit.metrics
+import oodkit.trainer
 from oodkit.cli import OUT_ROOT_ENV, main
-from oodkit.nn import load_model
+from oodkit.nn import init_mlp, load_model, save_model
 
 BASE_CONFIG = {
     "config_version": 1,
@@ -190,6 +192,50 @@ def test_eval_mahalanobis_block(pipeline, tmp_path):
     assert (out / "scores_mahalanobis.csv").exists()
 
 
+def test_eval_does_each_piece_of_work_once(pipeline, tmp_path, monkeypatch):
+    model_path = tmp_path / "dropout_model.json"
+    save_model(init_mlp([2, 8, 3], dropout_rate=0.2, seed=0), model_path)
+    passes, fits, grid_rows = [], [], []
+
+    def spy(module, name, log, record):
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            log.append(record(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(oodkit.trainer, "mc_dropout_predict", passes,
+        lambda model, inputs, num_passes, seed: num_passes)
+    spy(oodkit.trainer, "fit_mahalanobis", fits, lambda *a, **k: 1)
+    spy(oodkit.metrics, "forward", grid_rows, lambda model, inputs, **k: len(inputs))
+    assert main([
+        "eval", "--model", str(model_path), "--data", str(pipeline["data"]),
+        "--out", str(tmp_path / "eval"), "--mc-passes", "5", "--mahalanobis",
+        "--grid-resolution", "24", "--histogram-bins", "8",
+    ]) == 0
+    assert passes == [5, 5]  # one draw for the ID split, one for the OOD split
+    assert fits == [1]
+    assert grid_rows == [24 * 24]
+    assert {p.name for p in (tmp_path / "eval").iterdir()} >= {
+        "grid_predicted_class.csv", "grid_confidence.csv", "grid_entropy.csv",
+    }
+
+
+def test_eval_reads_only_the_splits_it_uses(pipeline, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("test_id.csv", "test_ood.csv"):
+        (data / name).write_bytes((pipeline["data"] / name).read_bytes())
+    # unreadable if it were read
+    (data / "val.csv").write_text("not,a\nsplit\n")
+    assert main([
+        "eval", "--model", str(pipeline["model"]), "--data", str(data),
+        "--out", str(tmp_path / "eval"), "--grid-resolution", "24",
+    ]) == 0
+
+
 def test_corrupt_eval_report(pipeline, tmp_path):
     out = tmp_path / "corrupt"
     assert main([
@@ -356,6 +402,39 @@ def test_invalid_scores_flag(pipeline, tmp_path, capsys):
     assert code == 2
     assert "sharpness" in capsys.readouterr().err
     assert run_eval(pipeline, tmp_path / "e2", extra=["--scores", ","]) == 2
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--mc-passes", "-5"),
+    ("--mc-passes", "0"),
+    ("--histogram-bins", "0"),
+    ("--grid-resolution", "1"),
+])
+def test_invalid_eval_flags_exit_before_any_work(pipeline, tmp_path, capsys, flag, value):
+    out = tmp_path / "eval"
+    code = main([
+        "eval", "--model", str(pipeline["model"]), "--data",
+        str(pipeline["data"]), "--out", str(out), flag, value,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flag in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_without_outlier_split_exits_3(pipeline, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("train.csv", "val.csv"):
+        (data / name).write_bytes((pipeline["data"] / name).read_bytes())
+    code = main([
+        "train", "--config", str(pipeline["config"]), "--data", str(data),
+        "--out", str(tmp_path / "run"),
+    ])
+    assert code == 3
+    assert "train_ood.csv" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_invalid_workers_flag(pipeline, tmp_path):

@@ -1,10 +1,14 @@
 import csv
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oodkit.datasynth import CORRUPTION_KINDS, SEVERITIES
 from oodkit.metrics import (
+    GRID_QUANTITIES,
     EvalReport,
     accuracy,
     auc_roc,
@@ -14,7 +18,7 @@ from oodkit.metrics import (
     grid_bounds,
     mce,
 )
-from oodkit.nn import MlpModel, init_mlp
+from oodkit.nn import MlpModel, forward, init_mlp, softmax
 
 
 def auc_bruteforce(scores_id, scores_ood, orientation):
@@ -77,6 +81,37 @@ def test_auc_matches_bruteforce(orientation):
         got = auc_roc(a, b, orientation=orientation)
         want = auc_bruteforce(a, b, orientation)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+# few distinct values, so ties (and -0.0 against 0.0) come up often
+_tie_prone = st.lists(
+    st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+    | st.floats(-1e6, 1e6, allow_nan=False),
+    min_size=1, max_size=40,
+)
+# quarter steps in [-1000, 1000]: far enough apart that arctan keeps
+# every distinct pair distinct in float64
+_quarter_steps = st.lists(
+    st.integers(-4000, 4000).map(lambda i: i / 4) | st.just(-0.0),
+    min_size=1, max_size=40,
+)
+_orientations = st.sampled_from(["higher_id", "higher_ood"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tie_prone, _tie_prone, _orientations)
+def test_auc_equals_pairwise_count_exactly(a, b, orientation):
+    assert auc_roc(a, b, orientation=orientation) == auc_bruteforce(a, b, orientation)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_quarter_steps, _quarter_steps, _orientations)
+def test_auc_invariant_under_strictly_monotone_transform(a, b, orientation):
+    base = auc_roc(a, b, orientation=orientation)
+    assert auc_roc(np.arctan(a), np.arctan(b), orientation=orientation) == base
+    # a decreasing transform flips which way the score runs
+    flipped = "higher_ood" if orientation == "higher_id" else "higher_id"
+    assert auc_roc(np.negative(a), np.negative(b), orientation=flipped) == base
 
 
 def test_auc_validation():
@@ -186,7 +221,7 @@ def read_rows(path):
 def test_grid_constant_model(tmp_path):
     path = tmp_path / "grid_confidence.csv"
     export_decision_grid(constant_model(), (0.0, 1.0, 0.0, 1.0), 5,
-                         "confidence", path)
+                         {"confidence": path})
     rows = read_rows(path)
     assert rows[0] == ["x0", "x1", "value"]
     assert len(rows) == 1 + 25
@@ -198,7 +233,7 @@ def test_grid_constant_model(tmp_path):
 def test_grid_row_order_x0_fastest(tmp_path):
     path = tmp_path / "grid_entropy.csv"
     export_decision_grid(constant_model(), (0.0, 2.0, 10.0, 12.0), 3,
-                         "entropy", path)
+                         {"entropy": path})
     rows = read_rows(path)[1:]
     x0 = [float(r[0]) for r in rows]
     x1 = [float(r[1]) for r in rows]
@@ -211,7 +246,7 @@ def test_grid_values_match_direct_prediction(tmp_path):
     path = tmp_path / "grid_predicted_class.csv"
     # resolution 3 over (m-1, m+1) puts the middle grid point exactly at m
     export_decision_grid(model, (-1.0, 1.0, -1.0, 1.0), 3,
-                         "predicted_class", path)
+                         {"predicted_class": path})
     rows = read_rows(path)[1:]
     center = rows[4]
     assert (float(center[0]), float(center[1])) == (0.0, 0.0)
@@ -220,20 +255,45 @@ def test_grid_values_match_direct_prediction(tmp_path):
     assert all("." not in r[2] for r in rows)  # class column is integral
 
 
+def test_grid_writes_every_quantity_as_csv_writer_would(tmp_path):
+    model = init_mlp([2, 8, 3], seed=6)
+    bounds = (-1.5, 2.0, -0.25, 3.0)
+    paths = {q: tmp_path / f"grid_{q}.csv" for q in GRID_QUANTITIES}
+    export_decision_grid(model, bounds, 7, paths)
+    xs = np.linspace(bounds[0], bounds[1], 7)
+    ys = np.linspace(bounds[2], bounds[3], 7)
+    pts = np.array([[x, y] for y in ys for x in xs])
+    probs = softmax(forward(model, pts, mode="eval")[0])
+    values = {
+        "predicted_class": [str(int(c)) for c in probs.argmax(axis=1)],
+        "confidence": [repr(float(v)) for v in probs.max(axis=1)],
+        "entropy": [repr(float(v)) for v in -(probs * np.log(probs)).sum(axis=1)],
+    }
+    for quantity, path in paths.items():
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["x0", "x1", "value"])
+        for (px, py), v in zip(pts, values[quantity]):
+            writer.writerow([repr(float(px)), repr(float(py)), v])
+        assert path.read_bytes() == buf.getvalue().encode(), quantity
+
+
 def test_grid_validation(tmp_path):
     model = init_mlp([3, 4, 2], seed=5)
     with pytest.raises(ValueError):
         export_decision_grid(model, (0.0, 1.0, 0.0, 1.0), 4,
-                             "confidence", tmp_path / "g.csv")
+                             {"confidence": tmp_path / "g.csv"})
     with pytest.raises(ValueError):
         export_decision_grid(constant_model(), (0.0, 1.0, 0.0, 1.0), 4,
-                             "volume", tmp_path / "g.csv")
+                             {"volume": tmp_path / "g.csv"})
+    with pytest.raises(ValueError):
+        export_decision_grid(constant_model(), (0.0, 1.0, 0.0, 1.0), 4, {})
     with pytest.raises(ValueError):
         export_decision_grid(constant_model(), (0.0, 1.0, 0.0, 1.0), 1,
-                             "entropy", tmp_path / "g.csv")
+                             {"entropy": tmp_path / "g.csv"})
     with pytest.raises(ValueError):
         export_decision_grid(constant_model(), (1.0, 1.0, 0.0, 1.0), 4,
-                             "entropy", tmp_path / "g.csv")
+                             {"entropy": tmp_path / "g.csv"})
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from oodkit.datasynth import CORRUPTION_KINDS, SEVERITIES
 from oodkit.metrics import accuracy, classify
 from oodkit.nn import init_mlp
-from oodkit.seeding import STREAM_INIT, derive_seed
+from oodkit.seeding import STREAM_DROPOUT, STREAM_INIT, derive_seed
 from oodkit.trainer import (
     TrainConfig,
     TrainingDiverged,
@@ -144,6 +144,26 @@ def test_train_seed_changes_outcome(tiny_benchmark):
     assert any(
         not np.array_equal(w0, w1) for w0, w1 in zip(m0.weights, m1.weights)
     )
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
+def test_train_derives_mask_seeds_only_with_dropout(
+    tiny_benchmark, monkeypatch, dropout_rate
+):
+    calls = []
+
+    def counting(seed, *path):
+        calls.append((seed, *path))
+        return derive_seed(seed, *path)
+
+    monkeypatch.setattr(trainer_mod, "derive_seed", counting)
+    cfg = TrainConfig(objective="ce", epochs=2, dropout_rate=dropout_rate)
+    train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
+    mask_seeds = [c for c in calls if c[:2] == (cfg.seed, STREAM_DROPOUT)]
+    batches = -(-len(tiny_benchmark["train"]) // cfg.batch_size) * cfg.epochs
+    # with dropout, batch i of the run draws its masks from stream i
+    expected = list(range(batches)) if dropout_rate > 0 else []
+    assert [c[2] for c in mask_seeds] == expected
 
 
 def test_train_does_not_mutate_input_model(tiny_benchmark):
