@@ -47,9 +47,7 @@ from .objectives import (
     cosine_margin_ranking_loss,
     cosine_similarity,
     cross_entropy_loss,
-    ntxent_loss,
     outlier_exposure_loss,
-    pairwise_ranking_loss,
     triplet_ranking_loss,
 )
 from .scores import (
@@ -76,6 +74,7 @@ from .trainer import (
     corruption_error_table,
     default_config,
     evaluate_model,
+    init_model,
     run_experiment,
     sweep,
     train,

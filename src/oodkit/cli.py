@@ -31,7 +31,7 @@ from .metrics import (
     grid_bounds,
     mce,
 )
-from .nn import MlpModel, ModelFileError, init_mlp, load_model, save_model
+from .nn import MlpModel, ModelFileError, load_model, save_model
 from .scores import write_score_dump
 from .seeding import STREAM_INIT, derive_seed
 from .trainer import (
@@ -39,6 +39,7 @@ from .trainer import (
     TrainingDiverged,
     corruption_error_table,
     eval_report,
+    init_model,
     score_populations,
     sweep,
     train,
@@ -55,34 +56,6 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 SOFTMAX_SCORE_KINDS = ("confidence", "entropy", "mutual_information")
-
-# Published schema for results.json (see README). The embedded manifest
-# carries the config snapshot and input/output hashes but no timestamps.
-RESULTS_SCHEMA = {
-    "type": "object",
-    "required": ["accuracy", "auc", "warnings", "manifest"],
-    "additionalProperties": False,
-    "properties": {
-        "accuracy": {"type": "number", "minimum": 0, "maximum": 100},
-        "auc": {
-            "type": "object",
-            "required": ["confidence", "entropy", "mutual_information"],
-            "additionalProperties": False,
-            "properties": {
-                "confidence": {"type": "number", "minimum": 0, "maximum": 100},
-                "entropy": {"type": "number", "minimum": 0, "maximum": 100},
-                "mutual_information": {
-                    "type": "number", "minimum": 0, "maximum": 100,
-                },
-                "mahalanobis": {"type": "number", "minimum": 0, "maximum": 100},
-            },
-        },
-        "mce": {"type": "number", "minimum": 0},
-        "warnings": {"type": "array", "items": {"type": "string"}},
-        "manifest": {"type": "object"},
-    },
-}
-
 
 class ConfigError(Exception):
     pass
@@ -163,8 +136,6 @@ def train_config_from(doc: dict, seed_override: int | None = None) -> TrainConfi
     kwargs = dict(section)
     if seed_override is not None:
         kwargs["seed"] = seed_override
-    if "hidden_dims" in kwargs:
-        kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
     try:
         return TrainConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -183,12 +154,6 @@ def _dump_json(doc: dict, path: Path) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=False)
         fh.write("\n")
-
-
-def _round2(table: dict[str, float] | None) -> dict[str, float] | None:
-    if table is None:
-        return None
-    return {k: round(v, 2) for k, v in table.items()}
 
 
 def build_manifest(
@@ -239,6 +204,14 @@ def _load_model(path) -> MlpModel:
         return load_model(path)
     except ModelFileError as exc:
         raise DataError(str(exc)) from exc
+
+
+def _check_input_dim(model: MlpModel, split) -> None:
+    if model.input_dim != split.features.shape[1]:
+        raise DataError(
+            f"model expects {model.input_dim}-D inputs but data has "
+            f"{split.features.shape[1]} columns"
+        )
 
 
 def _resolve_out(arg_out: str | None, command: str) -> Path:
@@ -309,11 +282,7 @@ def cmd_train(args) -> int:
     data_dir = Path(args.data)
     # validation measures OOD separation on train_ood for every objective
     benchmark = _load_benchmark_dir(data_dir, ("train", "val", "train_ood"))
-    model = init_mlp(
-        [benchmark["train"].features.shape[1], *config.hidden_dims, config.k],
-        config.dropout_rate,
-        seed=derive_seed(config.seed, STREAM_INIT),
-    )
+    model = init_model(config, benchmark["train"].features.shape[1])
     try:
         trained, history = train(config, benchmark, model)
     except ValueError as exc:
@@ -357,11 +326,7 @@ def cmd_eval(args) -> int:
     roles = ("test_id", "test_ood") + (("train",) if args.mahalanobis else ())
     benchmark = _load_benchmark_dir(data_dir, roles)
     test_id, test_ood = benchmark["test_id"], benchmark["test_ood"]
-    if model.input_dim != test_id.features.shape[1]:
-        raise DataError(
-            f"model expects {model.input_dim}-D inputs but data has "
-            f"{test_id.features.shape[1]} columns"
-        )
+    _check_input_dim(model, test_id)
 
     pops, id_predictions = score_populations(
         model,
@@ -411,7 +376,7 @@ def cmd_eval(args) -> int:
     )
     results = {
         "accuracy": round(report.id_accuracy, 2),
-        "auc": _round2(report.auc),
+        "auc": {kind: round(auc, 2) for kind, auc in report.auc.items()},
         "warnings": report.warnings,
         "manifest": manifest,
     }
@@ -434,11 +399,7 @@ def cmd_corrupt_eval(args) -> int:
     data_dir = Path(args.data)
     benchmark = _load_benchmark_dir(data_dir, ("test_id",))
     test_id = benchmark["test_id"]
-    if model.input_dim != test_id.features.shape[1]:
-        raise DataError(
-            f"model expects {model.input_dim}-D inputs but data has "
-            f"{test_id.features.shape[1]} columns"
-        )
+    _check_input_dim(model, test_id)
     clean_error = round(
         100.0 - accuracy(classify(model, test_id.features), test_id.labels), 2
     )
@@ -498,12 +459,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(str(exc)) from exc
 
     # replay the winner standalone and persist its model
-    model = init_mlp(
-        [benchmark["train"].features.shape[1], *best_config.hidden_dims,
-         best_config.k],
-        best_config.dropout_rate,
-        seed=derive_seed(best_config.seed, STREAM_INIT),
-    )
+    model = init_model(best_config, benchmark["train"].features.shape[1])
     best_model, _ = train(best_config, benchmark, model)
 
     out_dir = _resolve_out(args.out, "sweep")

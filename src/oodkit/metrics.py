@@ -189,7 +189,6 @@ class EvalReport:
     auc: dict[str, float]
     mce: float | None = None
     warnings: list[str] = field(default_factory=list)
-    artifact_paths: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         bad = [k for k in self.auc if k not in SCORE_KINDS]

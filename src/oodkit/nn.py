@@ -94,7 +94,6 @@ class ForwardTrace:
     pre_activations: list[np.ndarray]
     hidden_activations: list[np.ndarray]  # post-ReLU, post-dropout
     masks: list[np.ndarray | None]  # entries are 0 or 1/keep; None when inactive
-    mode: str
 
     @property
     def penultimate_features(self) -> np.ndarray:
@@ -199,7 +198,7 @@ def forward(
             masks.append(None)
         hidden.append(h)
         a = h
-    trace = ForwardTrace(x, pre, hidden, masks, mode)
+    trace = ForwardTrace(x, pre, hidden, masks)
     return pre[-1], trace
 
 

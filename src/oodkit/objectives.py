@@ -1,12 +1,12 @@
-"""Training objectives and reference contrastive losses.
+"""Training objectives and a reference triplet ranking loss.
 
 The trainable losses all return a LossResult carrying the scalar loss,
 per-term breakdown, and analytic logit gradients for the in-distribution
 block and (where applicable) the out-of-distribution block. Gradients
 are averaged over the batch, so the loss is the mean per-example value.
 
-The contrastive losses at the bottom (ntxent, pairwise, triplet) are
-reference implementations: loss values only, no gradients.
+The triplet ranking loss at the bottom is a reference implementation:
+loss value and regime only, no gradients.
 """
 
 from __future__ import annotations
@@ -43,13 +43,10 @@ class ObjectiveParams:
     lambda2: float = 0.1
     alpha: float = 0.95
     k: int = 3
-    tau: float = 0.5
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be >= 0")
         if not 0.0 < self.alpha <= 1.0:
@@ -234,54 +231,8 @@ def outlier_exposure_loss(logits_in, labels, logits_out, lam: float) -> LossResu
 
 
 # ---------------------------------------------------------------------------
-# Reference contrastive losses (values only, no gradients)
+# Reference triplet ranking loss (value only, no gradients)
 # ---------------------------------------------------------------------------
-
-
-def ntxent_loss(latents, pairing, tau: float) -> float:
-    """Normalised-temperature cross-entropy over a batch of paired latents.
-
-    latents has 2n rows; pairing[i] names row i's positive partner. Each
-    anchor's denominator ranges over every other row, the positive
-    included, the anchor itself excluded.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    z = np.asarray(latents, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 2 or z.shape[0] % 2 != 0:
-        raise ValueError(f"latents must have an even row count >= 2, got {z.shape}")
-    m = z.shape[0]
-    pair = np.asarray(pairing)
-    if pair.shape != (m,) or not np.issubdtype(pair.dtype, np.integer):
-        raise ValueError("pairing must be an integer vector with one entry per row")
-    if pair.min() < 0 or pair.max() >= m:
-        raise ValueError("pairing entries out of range")
-    if np.any(pair == np.arange(m)) or np.any(pair[pair] != np.arange(m)):
-        raise ValueError("unpaired row: pairing must be a fixed-point-free involution")
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("zero-norm latent row")
-    zn = z / norms
-    sim = (zn @ zn.T) / tau
-    np.fill_diagonal(sim, -np.inf)  # anchor excluded from its own denominator
-    row_max = sim.max(axis=1, keepdims=True)
-    logdenom = row_max.ravel() + np.log(np.exp(sim - row_max).sum(axis=1))
-    pos = sim[np.arange(m), pair]
-    return float((logdenom - pos).mean())
-
-
-def pairwise_ranking_loss(z_a, z_b, y: int, gamma: float) -> float:
-    """Contrastive pair loss: y*d + (1-y)*max(0, gamma - d), Euclidean d."""
-    if y not in (0, 1):
-        raise ValueError(f"y must be 0 or 1, got {y!r}")
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    a = np.asarray(z_a, dtype=np.float64).ravel()
-    b = np.asarray(z_b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = float(np.linalg.norm(a - b))
-    return y * d + (1 - y) * max(0.0, gamma - d)
 
 
 def triplet_ranking_loss(z, z_pos, z_neg, gamma: float) -> tuple[float, str]:

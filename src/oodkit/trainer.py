@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -20,6 +21,7 @@ from .datasynth import CORRUPTION_KINDS, SEVERITIES, CorruptionSpec, DatasetSpli
 from .metrics import EvalReport, accuracy, auc_roc, classify, mce
 from .nn import (
     DivergenceError,
+    Gradients,
     MlpModel,
     OptimizerState,
     backward,
@@ -29,6 +31,7 @@ from .nn import (
 )
 from .objectives import ObjectiveParams
 from .scores import (
+    PredictiveSamples,
     confidence_score,
     deterministic_samples,
     entropy_score,
@@ -50,8 +53,83 @@ from .seeding import (
     derive_seed,
 )
 
-OBJECTIVES = ("ce", "ce_l1", "ce_cosine", "cosine_margin", "outlier_exposure")
-OOD_OBJECTIVES = ("ce_cosine", "cosine_margin", "outlier_exposure")
+
+def _weight_l1(config: TrainConfig, model: MlpModel, grads: Gradients) -> dict:
+    """ce_l1's L1 weight penalty: adds its subgradient to grads and
+    returns its loss term (none at zero strength)."""
+    if not config.ce_l1_strength > 0:
+        return {}
+    penalty = config.ce_l1_strength * sum(
+        float(np.abs(w).sum()) for w in model.weights
+    )
+    for gw, w in zip(grads.weights, model.weights):
+        gw += config.ce_l1_strength * np.sign(w)
+    return {"weight_l1": penalty}
+
+
+@dataclass(frozen=True)
+class ObjectiveSpec:
+    """One row of the objective table.
+
+    loss(params, logits_in, labels, logits_out) returns the LossResult.
+    penalty(config, model, grads), if set, runs once the OOD gradients
+    are merged: it adds to grads in place and returns extra loss terms.
+    defaults are the objective's TrainConfig overrides.
+    """
+
+    loss: Callable[..., objectives.LossResult]
+    needs_ood: bool = False
+    penalty: Callable[..., dict[str, float]] | None = None
+    defaults: dict = field(default_factory=dict)
+
+
+def _ce(params, logits_in, labels, logits_out) -> objectives.LossResult:
+    return objectives.cross_entropy_loss(logits_in, labels)
+
+
+# Each loss is looked up on the objectives module when it is called, so
+# a wrapper installed there (tracing, a test double) sees every call.
+#
+# The defaults are tuned per-objective rows for the default benchmark.
+# The detection objectives train with dropout so the MC pass count is
+# meaningful; the cross-entropy baselines stay deterministic (pass
+# dropout_rate=0.2 to get the MC-dropout row of the same objective).
+# cosine_margin carries a larger pass count because its pass-to-pass
+# disagreement signal is smaller than ce_cosine's and needs more samples
+# to resolve.
+OBJECTIVE_TABLE: dict[str, ObjectiveSpec] = {
+    "ce": ObjectiveSpec(_ce),
+    "ce_l1": ObjectiveSpec(_ce, penalty=_weight_l1),
+    "ce_cosine": ObjectiveSpec(
+        lambda p, z_in, y, z_out: objectives.ce_cosine_loss(z_in, y, z_out, p.lam),
+        needs_ood=True,
+        defaults={"lam": 1.0, "weight_decay": 3e-3, "dropout_rate": 0.2,
+                  "mc_passes": 200},
+    ),
+    "cosine_margin": ObjectiveSpec(
+        lambda p, z_in, y, z_out: objectives.cosine_margin_ranking_loss(
+            z_in, y, z_out, p
+        ),
+        needs_ood=True,
+        defaults={"hidden_dims": (128, 128), "dropout_rate": 0.4, "gamma": -0.5,
+                  "lambda1": 0.35, "lambda2": 1.0, "alpha": 0.95,
+                  "mc_passes": 200},
+    ),
+    "outlier_exposure": ObjectiveSpec(
+        lambda p, z_in, y, z_out: objectives.outlier_exposure_loss(
+            z_in, y, z_out, p.lam
+        ),
+        needs_ood=True,
+        defaults={"lam": 1.0, "dropout_rate": 0.2},
+    ),
+}
+OBJECTIVES = tuple(OBJECTIVE_TABLE)
+OOD_OBJECTIVES = tuple(n for n, spec in OBJECTIVE_TABLE.items() if spec.needs_ood)
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass but never a count; numpy integers are fine
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class TrainingDiverged(RuntimeError):
@@ -72,12 +150,12 @@ class TrainConfig:
     weight_decay: float = 3e-4
     dropout_rate: float = 0.0
     hidden_dims: tuple[int, ...] = (64, 64)
-    lam: float = -1.0
-    gamma: float = -0.5
-    lambda1: float = 0.5
-    lambda2: float = 0.1
-    alpha: float = 0.95
-    k: int = 3
+    lam: float = ObjectiveParams.lam
+    gamma: float = ObjectiveParams.gamma
+    lambda1: float = ObjectiveParams.lambda1
+    lambda2: float = ObjectiveParams.lambda2
+    alpha: float = ObjectiveParams.alpha
+    k: int = ObjectiveParams.k
     mc_passes: int = 30
     ce_l1_strength: float = 1e-4
     seed: int = 0
@@ -87,6 +165,10 @@ class TrainConfig:
             raise ValueError(
                 f"objective must be one of {OBJECTIVES}, got {self.objective!r}"
             )
+        for name in ("epochs", "batch_size", "k", "mc_passes", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -102,11 +184,10 @@ class TrainConfig:
             raise ValueError(
                 f"dropout_rate must be in [0, 1), got {self.dropout_rate}"
             )
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
-        if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden_dims must be positive, got {self.hidden_dims}")
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
+        dims = tuple(self.hidden_dims)
+        if not dims or not all(_is_int(h) and h >= 1 for h in dims):
+            raise ValueError(f"hidden_dims must be positive integers, got {dims}")
+        self.hidden_dims = tuple(int(h) for h in dims)
         if self.mc_passes < 1:
             raise ValueError(f"mc_passes must be >= 1, got {self.mc_passes}")
         if self.ce_l1_strength < 0:
@@ -121,17 +202,11 @@ class TrainConfig:
         self.objective_params()
 
     def objective_params(self) -> ObjectiveParams:
-        return ObjectiveParams(
-            lam=self.lam,
-            gamma=self.gamma,
-            lambda1=self.lambda1,
-            lambda2=self.lambda2,
-            alpha=self.alpha,
-            k=self.k,
-        )
+        names = (f.name for f in dataclasses.fields(ObjectiveParams))
+        return ObjectiveParams(**{name: getattr(self, name) for name in names})
 
     def needs_ood(self) -> bool:
-        return self.objective in OOD_OBJECTIVES
+        return OBJECTIVE_TABLE[self.objective].needs_ood
 
 
 @dataclass
@@ -153,64 +228,22 @@ class TrainHistory:
         return dataclasses.asdict(self)
 
 
-# Tuned per-objective rows for the default benchmark. The detection
-# objectives train with dropout so the MC pass count is meaningful; the
-# cross-entropy baselines stay deterministic (pass dropout_rate=0.2 to
-# get the MC-dropout row of the same objective). cosine_margin carries a
-# larger pass count because its pass-to-pass disagreement signal is
-# smaller than ce_cosine's and needs more samples to resolve.
-_OBJECTIVE_ROWS: dict[str, dict] = {
-    "ce": {},
-    "ce_l1": {},
-    "ce_cosine": {
-        "lam": 1.0,
-        "weight_decay": 3e-3,
-        "dropout_rate": 0.2,
-        "mc_passes": 200,
-    },
-    "cosine_margin": {
-        "hidden_dims": (128, 128),
-        "dropout_rate": 0.4,
-        "gamma": -0.5,
-        "lambda1": 0.35,
-        "lambda2": 1.0,
-        "alpha": 0.95,
-        "mc_passes": 200,
-    },
-    "outlier_exposure": {"lam": 1.0, "dropout_rate": 0.2},
-}
-
-
 def default_config(objective: str, seed: int = 0) -> TrainConfig:
     """Per-objective defaults used by the benchmark reproduction."""
-    if objective not in _OBJECTIVE_ROWS:
-        raise ValueError(
-            f"objective must be one of {OBJECTIVES}, got {objective!r}"
-        )
-    return TrainConfig(objective=objective, seed=seed, **_OBJECTIVE_ROWS[objective])
+    spec = OBJECTIVE_TABLE.get(objective)
+    # an unknown objective is rejected by TrainConfig itself
+    defaults = spec.defaults if spec is not None else {}
+    return TrainConfig(objective=objective, seed=seed, **defaults)
 
 
-def _objective_loss(
-    config: TrainConfig,
-    params: ObjectiveParams,
-    logits_in: np.ndarray,
-    labels: np.ndarray,
-    logits_out: np.ndarray | None,
-) -> objectives.LossResult:
-    name = config.objective
-    if name in ("ce", "ce_l1"):
-        return objectives.cross_entropy_loss(logits_in, labels)
-    if name == "ce_cosine":
-        return objectives.ce_cosine_loss(logits_in, labels, logits_out, config.lam)
-    if name == "cosine_margin":
-        return objectives.cosine_margin_ranking_loss(
-            logits_in, labels, logits_out, params
-        )
-    if name == "outlier_exposure":
-        return objectives.outlier_exposure_loss(
-            logits_in, labels, logits_out, config.lam
-        )
-    raise ValueError(f"unknown objective {name!r}")
+def init_model(config: TrainConfig, input_dim: int) -> MlpModel:
+    """The freshly initialised model that `config` trains on `input_dim`
+    features."""
+    return init_mlp(
+        [input_dim, *config.hidden_dims, config.k],
+        config.dropout_rate,
+        seed=derive_seed(config.seed, STREAM_INIT),
+    )
 
 
 # Pass count for per-epoch validation of dropout models. Fixed rather
@@ -220,26 +253,14 @@ VAL_MC_PASSES = 30
 
 
 def _validation_metrics(
-    model: MlpModel,
-    val: DatasetSplit,
-    val_ood: DatasetSplit,
-    mc_seed: int | None = None,
+    model: MlpModel, val: DatasetSplit, val_ood: DatasetSplit, mc_seed: int
 ) -> tuple[float, float]:
-    """Validation accuracy and entropy AUC under deployment semantics.
-
-    A dropout model is validated the way it is deployed: MC-averaged
-    predictions. A deterministic model uses a single eval pass.
-    """
-    if model.dropout_rate > 0 and mc_seed is not None:
-        s_val = mc_dropout_predict(model, val.features, VAL_MC_PASSES, mc_seed)
-        s_ood = mc_dropout_predict(
-            model, val_ood.features, VAL_MC_PASSES, derive_seed(mc_seed, 1)
-        )
-        val_acc = accuracy(s_val.mean_probs().argmax(axis=1), val.labels)
-    else:
-        s_val = deterministic_samples(model, val.features)
-        s_ood = deterministic_samples(model, val_ood.features)
-        val_acc = accuracy(classify(model, val.features), val.labels)
+    """Validation accuracy and entropy AUC under deployment semantics:
+    MC-averaged predictions for a dropout model, one eval pass otherwise."""
+    s_val, s_ood = predictive_samples_pair(
+        model, val, val_ood, VAL_MC_PASSES, mc_seed
+    )
+    val_acc = accuracy(s_val.mean_probs().argmax(axis=1), val.labels)
     ent_auc = 100.0 * auc_roc(
         entropy_score(s_val), entropy_score(s_ood), "higher_ood"
     )
@@ -281,6 +302,7 @@ def train(
         raise ValueError("training labels exceed model classes")
 
     model = model.copy()
+    spec = OBJECTIVE_TABLE[config.objective]
     params = config.objective_params()
     state = OptimizerState.zeros(
         model, config.lr, config.momentum, config.weight_decay
@@ -298,14 +320,9 @@ def train(
     def next_ood_batch(size: int) -> np.ndarray:
         # cyclic pointer: every outlier is consumed once per wrap
         nonlocal ood_pos
-        out = np.empty((size, ood_features.shape[1]))
-        filled = 0
-        while filled < size:
-            take = min(size - filled, len(ood_features) - ood_pos)
-            out[filled:filled + take] = ood_features[ood_pos:ood_pos + take]
-            filled += take
-            ood_pos = (ood_pos + take) % len(ood_features)
-        return out
+        rows = np.arange(ood_pos, ood_pos + size)
+        ood_pos = (ood_pos + size) % len(ood_features)
+        return ood_features.take(rows, axis=0, mode="wrap")
 
     history = TrainHistory()
     best_criterion = None
@@ -344,7 +361,7 @@ def train(
                 raise TrainingDiverged(
                     f"non-finite logits at epoch {epoch}", history
                 )
-            result = _objective_loss(config, params, logits_in, yb, logits_out)
+            result = spec.loss(params, logits_in, yb, logits_out)
             loss = result.loss
             terms = dict(result.terms)
 
@@ -355,14 +372,10 @@ def train(
                     gw += ow
                 for gb, ob_ in zip(grads.biases, ood_grads.biases):
                     gb += ob_
-            if config.objective == "ce_l1" and config.ce_l1_strength > 0:
-                penalty = config.ce_l1_strength * sum(
-                    float(np.abs(w).sum()) for w in model.weights
-                )
-                loss += penalty
-                terms["weight_l1"] = penalty
-                for gw, w in zip(grads.weights, model.weights):
-                    gw += config.ce_l1_strength * np.sign(w)
+            if spec.penalty is not None:
+                for name, value in spec.penalty(config, model, grads).items():
+                    loss += value
+                    terms[name] = value
 
             if not np.isfinite(loss):
                 raise TrainingDiverged(
@@ -437,12 +450,7 @@ def _sweep_task(
 
     Module-level so process pools can pickle it.
     """
-    input_dim = benchmark["train"].features.shape[1]
-    model = init_mlp(
-        [input_dim, *cfg.hidden_dims, cfg.k],
-        cfg.dropout_rate,
-        seed=derive_seed(cfg.seed, STREAM_INIT),
-    )
+    model = init_model(cfg, benchmark["train"].features.shape[1])
     try:
         _, history = train(cfg, benchmark, model)
     except TrainingDiverged:
@@ -539,26 +547,26 @@ def corruption_error_table(
 
 def predictive_samples_pair(
     model: MlpModel,
-    test_id: DatasetSplit,
-    test_ood: DatasetSplit,
-    mc_passes: int = 1,
-    seed: int = 0,
-):
-    """Predictive samples for both held-out splits.
+    split_id: DatasetSplit,
+    split_ood: DatasetSplit,
+    passes: int,
+    mc_seed: int,
+) -> tuple[PredictiveSamples, PredictiveSamples]:
+    """The predictive distribution of a model on a pair of splits.
 
-    mc_passes > 1 on a dropout model samples stochastic passes;
-    otherwise a single deterministic pass is used.
+    A dropout model with passes > 1 is sampled as it deploys: `passes`
+    MC-dropout passes, seeded by mc_seed for split_id and by
+    derive_seed(mc_seed, 1) for split_ood. Otherwise each split gets one
+    eval-mode pass.
     """
-    if mc_passes > 1 and model.dropout_rate > 0:
-        mc_seed = derive_seed(seed, STREAM_MC)
-        s_id = mc_dropout_predict(model, test_id.features, mc_passes, mc_seed)
-        s_ood = mc_dropout_predict(
-            model, test_ood.features, mc_passes, derive_seed(mc_seed, 1)
+    if passes > 1 and model.dropout_rate > 0:
+        seed_ood = derive_seed(mc_seed, 1)
+        return (
+            mc_dropout_predict(model, split_id.features, passes, mc_seed),
+            mc_dropout_predict(model, split_ood.features, passes, seed_ood),
         )
-    else:
-        s_id = deterministic_samples(model, test_id.features)
-        s_ood = deterministic_samples(model, test_ood.features)
-    return s_id, s_ood
+    splits = (split_id, split_ood)
+    return tuple(deterministic_samples(model, s.features) for s in splits)
 
 
 def score_populations(
@@ -576,7 +584,7 @@ def score_populations(
     penultimate features, fit on that split, are added.
     """
     s_id, s_ood = predictive_samples_pair(
-        model, test_id, test_ood, mc_passes=mc_passes, seed=seed
+        model, test_id, test_ood, mc_passes, derive_seed(seed, STREAM_MC)
     )
     pops = {
         "confidence": (confidence_score(s_id), confidence_score(s_ood)),
@@ -682,12 +690,7 @@ def run_experiment(
     for key in ("train", "val", "test_id", "test_ood"):
         if key not in benchmark:
             raise ValueError(f"benchmark is missing the {key!r} split")
-    input_dim = benchmark["train"].features.shape[1]
-    model = init_mlp(
-        [input_dim, *config.hidden_dims, config.k],
-        config.dropout_rate,
-        seed=derive_seed(config.seed, STREAM_INIT),
-    )
+    model = init_model(config, benchmark["train"].features.shape[1])
     trained, history = train(config, benchmark, model)
     report = evaluate_model(
         trained,

@@ -437,6 +437,35 @@ def test_train_without_outlier_split_exits_3(pipeline, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command,key,value,reason", [
+    ("train", "epochs", 2.5, "epochs must be an integer"),
+    ("train", "batch_size", 8.5, "batch_size must be an integer"),
+    ("train", "seed", 1.5, "seed must be an integer"),
+    ("train", "hidden_dims", [8.5], "hidden_dims must be positive integers"),
+    ("train", "hidden_dims", 8, "not iterable"),
+    ("train", "mc_passes", 2.5, "mc_passes must be an integer"),
+    ("train", "k", 3.0, "k must be an integer"),
+    ("sweep", "epochs", 2.5, "epochs must be an integer"),
+])
+def test_non_integer_config_value_exits_2(pipeline, tmp_path, capsys,
+                                          command, key, value, reason):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"config_version": 1,
+                     "train": {"objective": "ce", "epochs": 1, key: value}})
+    out = tmp_path / "out"
+    args = [command, "--config", str(cfg), "--data", str(pipeline["data"]),
+            "--out", str(out)]
+    if command == "sweep":
+        grid = tmp_path / "grid.json"
+        write_json(grid, {"grid_version": 1, "grid": [{"lr": 0.05}]})
+        args += ["--grid", str(grid)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and reason in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_invalid_workers_flag(pipeline, tmp_path):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {"config_version": 1,

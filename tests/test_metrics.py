@@ -380,7 +380,7 @@ def test_eval_report_defaults_and_validation():
         id_accuracy=97.5,
         auc={"confidence": 99.0, "entropy": 98.5, "mutual_information": 97.0},
     )
-    assert ok.mce is None and ok.warnings == [] and ok.artifact_paths == []
+    assert ok.mce is None and ok.warnings == []
     with pytest.raises(ValueError):
         EvalReport(id_accuracy=101.0, auc={"confidence": 50.0})
     with pytest.raises(ValueError):

@@ -10,9 +10,7 @@ from oodkit.objectives import (
     cosine_margin_ranking_loss,
     cosine_similarity,
     cross_entropy_loss,
-    ntxent_loss,
     outlier_exposure_loss,
-    pairwise_ranking_loss,
     triplet_ranking_loss,
 )
 
@@ -320,90 +318,8 @@ def test_oe_gradients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# ntxent
+# triplet ranking
 # ---------------------------------------------------------------------------
-
-
-def ntxent_bruteforce(z: np.ndarray, pairing: np.ndarray, tau: float) -> float:
-    # direct translation of the definition, one anchor at a time
-    zn = z / np.linalg.norm(z, axis=1, keepdims=True)
-    m = z.shape[0]
-    losses = []
-    for i in range(m):
-        num = np.exp(float(zn[i] @ zn[pairing[i]]) / tau)
-        denom = sum(
-            np.exp(float(zn[i] @ zn[j]) / tau) for j in range(m) if j != i
-        )
-        losses.append(-np.log(num / denom))
-    return float(np.mean(losses))
-
-
-def test_ntxent_single_pair_is_zero():
-    z = np.random.default_rng(16).normal(size=(2, 4))
-    assert ntxent_loss(z, np.array([1, 0]), tau=0.5) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_ntxent_identical_latents():
-    z = np.ones((4, 3))
-    loss = ntxent_loss(z, np.array([1, 0, 3, 2]), tau=1.0)
-    assert loss == pytest.approx(LN3, abs=1e-12)
-
-
-def test_ntxent_matches_bruteforce():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        z = rng.normal(size=(2 * n, 4))
-        perm = rng.permutation(n)
-        pairing = np.empty(2 * n, dtype=np.int64)
-        pairing[2 * perm] = 2 * perm + 1
-        pairing[2 * perm + 1] = 2 * perm
-        tau = float(rng.uniform(0.2, 2.0))
-        assert ntxent_loss(z, pairing, tau) == pytest.approx(
-            ntxent_bruteforce(z, pairing, tau), abs=1e-10
-        )
-
-
-def test_ntxent_validation():
-    z = np.random.default_rng(18).normal(size=(4, 3))
-    with pytest.raises(ValueError):
-        ntxent_loss(z, np.array([0, 1, 3, 2]), tau=1.0)  # self-pair
-    with pytest.raises(ValueError):
-        ntxent_loss(z, np.array([2, 3, 1, 0]), tau=1.0)  # not an involution
-    with pytest.raises(ValueError):
-        ntxent_loss(z, np.array([1, 0, 3, 2]), tau=0.0)
-    with pytest.raises(ValueError):
-        ntxent_loss(z[:3], np.array([1, 0, 2]), tau=1.0)  # odd row count
-    z[0] = 0.0
-    with pytest.raises(ValueError):
-        ntxent_loss(z, np.array([1, 0, 3, 2]), tau=1.0)
-
-
-# ---------------------------------------------------------------------------
-# pairwise / triplet ranking
-# ---------------------------------------------------------------------------
-
-
-def test_pairwise_positive_identical():
-    assert pairwise_ranking_loss([1.0, 2.0], [1.0, 2.0], y=1, gamma=3.0) == 0.0
-
-
-def test_pairwise_negative_satisfied_margin():
-    assert pairwise_ranking_loss([0.0, 0.0], [3.0, 4.0], y=0, gamma=5.0) == 0.0
-
-
-def test_pairwise_analytic():
-    # d = 5, margin 6 -> hinge = 1
-    assert pairwise_ranking_loss([0.0, 0.0], [3.0, 4.0], y=0, gamma=6.0) == (
-        pytest.approx(1.0, abs=1e-12)
-    )
-
-
-def test_pairwise_validation():
-    with pytest.raises(ValueError):
-        pairwise_ranking_loss([0.0], [1.0], y=2, gamma=1.0)
-    with pytest.raises(ValueError):
-        pairwise_ranking_loss([0.0], [1.0], y=0, gamma=-1.0)
 
 
 def triplet_regime_oracle(d_pos: float, d_neg: float, gamma: float) -> str:
@@ -469,8 +385,6 @@ def test_triplet_validation():
 def test_objective_params_validation():
     with pytest.raises(ValueError):
         ObjectiveParams(k=1)
-    with pytest.raises(ValueError):
-        ObjectiveParams(tau=0.0)
     with pytest.raises(ValueError):
         ObjectiveParams(lambda1=-0.1)
     with pytest.raises(ValueError):

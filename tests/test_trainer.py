@@ -3,17 +3,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oodkit import objectives
 from oodkit.datasynth import CORRUPTION_KINDS, SEVERITIES
 from oodkit.metrics import accuracy, classify
-from oodkit.nn import init_mlp
-from oodkit.seeding import STREAM_DROPOUT, STREAM_INIT, derive_seed
+from oodkit.nn import forward, init_mlp, softmax
+from oodkit.scores import mc_dropout_predict, mutual_information_score
+from oodkit.seeding import STREAM_DROPOUT, derive_seed
 from oodkit.trainer import (
     TrainConfig,
     TrainingDiverged,
     corruption_error_table,
     default_config,
     evaluate_model,
+    init_model,
     predictive_samples_pair,
     run_experiment,
     sweep,
@@ -25,12 +30,7 @@ OBJECTIVES = ("ce", "ce_l1", "ce_cosine", "cosine_margin", "outlier_exposure")
 
 
 def fresh_model(config: TrainConfig, benchmark) -> "trainer_mod.MlpModel":
-    input_dim = benchmark["train"].features.shape[1]
-    return init_mlp(
-        [input_dim, *config.hidden_dims, config.k],
-        config.dropout_rate,
-        seed=derive_seed(config.seed, STREAM_INIT),
-    )
+    return init_model(config, benchmark["train"].features.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +64,25 @@ def test_config_defaults():
         {"alpha": 0.0},
         {"lambda1": -0.5},
         {"objective": "outlier_exposure", "lam": -1.0},
+        {"epochs": 2.5},
+        {"batch_size": 8.5},
+        {"seed": 1.5},
+        {"hidden_dims": (8.5,)},
+        {"mc_passes": 2.5},
+        {"k": 3.0},
+        {"epochs": True},
+        {"hidden_dims": (8, True)},
     ],
 )
 def test_config_rejects_bad_values(overrides):
     with pytest.raises(ValueError):
         TrainConfig(**overrides)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = TrainConfig(epochs=np.int64(2), seed=np.int64(3),
+                      hidden_dims=(np.int32(8),))
+    assert cfg.hidden_dims == (8,) and type(cfg.hidden_dims[0]) is int
 
 
 def test_config_allows_zero_lr():
@@ -164,6 +178,28 @@ def test_train_derives_mask_seeds_only_with_dropout(
     # with dropout, batch i of the run draws its masks from stream i
     expected = list(range(batches)) if dropout_rate > 0 else []
     assert [c[2] for c in mask_seeds] == expected
+
+
+def test_train_calls_each_loss_through_the_objectives_module(
+    tiny_benchmark, monkeypatch
+):
+    # a table entry that held the function object would bypass wrappers
+    # installed on the module, such as the benchmark's tracing spans
+    calls = []
+    for name in ("cross_entropy_loss", "ce_cosine_loss"):
+        def counting(*args, _name=name, _loss=getattr(objectives, name)):
+            calls.append(_name)
+            return _loss(*args)
+
+        monkeypatch.setattr(objectives, name, counting)
+    for objective, loss in (("ce", "cross_entropy_loss"),
+                            ("ce_cosine", "ce_cosine_loss")):
+        calls.clear()
+        cfg = TrainConfig(objective=objective, lam=1.0, epochs=1, batch_size=16)
+        train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
+        batches = -(-len(tiny_benchmark["train"]) // cfg.batch_size)
+        assert batches > 1
+        assert calls.count(loss) == batches
 
 
 def test_train_does_not_mutate_input_model(tiny_benchmark):
@@ -342,29 +378,75 @@ def test_corruption_table_shape_and_determinism(tiny_benchmark):
 
 
 def test_predictive_samples_pair_modes(tiny_benchmark):
+    test_id, test_ood = tiny_benchmark["test_id"], tiny_benchmark["test_ood"]
     det = init_mlp([2, 8, 3], seed=1)
-    s_id, s_ood = predictive_samples_pair(
-        det, tiny_benchmark["test_id"], tiny_benchmark["test_ood"]
-    )
+    s_id, s_ood = predictive_samples_pair(det, test_id, test_ood, 5, 3)
     assert s_id.num_passes == 1 and s_ood.num_passes == 1
 
     mc = init_mlp([2, 8, 3], dropout_rate=0.3, seed=1)
-    a_id, a_ood = predictive_samples_pair(
-        mc, tiny_benchmark["test_id"], tiny_benchmark["test_ood"],
-        mc_passes=5, seed=3,
-    )
+    a_id, a_ood = predictive_samples_pair(mc, test_id, test_ood, 5, 3)
     assert a_id.num_passes == 5 and a_ood.num_passes == 5
-    b_id, b_ood = predictive_samples_pair(
-        mc, tiny_benchmark["test_id"], tiny_benchmark["test_ood"],
-        mc_passes=5, seed=3,
-    )
+    b_id, b_ood = predictive_samples_pair(mc, test_id, test_ood, 5, 3)
     np.testing.assert_array_equal(a_id.probs, b_id.probs)
     np.testing.assert_array_equal(a_ood.probs, b_ood.probs)
     # a dropout model with a single pass stays deterministic
-    one_id, _ = predictive_samples_pair(
-        mc, tiny_benchmark["test_id"], tiny_benchmark["test_ood"], mc_passes=1
-    )
+    one_id, _ = predictive_samples_pair(mc, test_id, test_ood, 1, 3)
     assert one_id.num_passes == 1
+
+
+_seeds = st.integers(0, 2**63 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, mc_seed=_seeds, width=st.integers(1, 8),
+       dropout_rate=st.sampled_from([0.0, 0.3]), passes=st.integers(1, 5))
+def test_predictive_path_without_mc_is_one_eval_pass(
+    tiny_benchmark, seed, mc_seed, width, dropout_rate, passes
+):
+    assume(dropout_rate == 0.0 or passes == 1)
+    model = init_mlp([2, width, 3], dropout_rate, seed=seed)
+    splits = (tiny_benchmark["test_id"], tiny_benchmark["test_ood"])
+    pair = predictive_samples_pair(model, *splits, passes, mc_seed)
+    for samples, split in zip(pair, splits):
+        assert samples.num_passes == 1
+        logits, _ = forward(model, split.features, mode="eval")
+        np.testing.assert_array_equal(samples.probs[0], softmax(logits))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=_seeds, mc_seed=_seeds, width=st.integers(1, 8),
+       dropout_rate=st.floats(0.05, 0.9), passes=st.integers(2, 6))
+def test_predictive_path_with_mc_repeats_for_a_seed(
+    tiny_benchmark, seed, mc_seed, width, dropout_rate, passes
+):
+    model = init_mlp([2, width, 3], dropout_rate, seed=seed)
+    splits = (tiny_benchmark["test_id"], tiny_benchmark["test_ood"])
+    first = predictive_samples_pair(model, *splits, passes, mc_seed)
+    again = predictive_samples_pair(model, *splits, passes, mc_seed)
+    for a, b in zip(first, again):
+        assert a.num_passes == passes
+        np.testing.assert_array_equal(a.probs, b.probs)
+    # the OOD split draws from its own stream
+    np.testing.assert_array_equal(
+        first[1].probs,
+        mc_dropout_predict(model, splits[1].features, passes,
+                           derive_seed(mc_seed, 1)).probs,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, mc_seed=_seeds, width=st.integers(1, 8),
+       dropout_rate=st.sampled_from([0.0, 0.2, 0.6]), passes=st.integers(1, 6))
+def test_predictive_path_mutual_information_is_nonnegative(
+    tiny_benchmark, seed, mc_seed, width, dropout_rate, passes
+):
+    model = init_mlp([2, width, 3], dropout_rate, seed=seed)
+    pair = predictive_samples_pair(
+        model, tiny_benchmark["test_id"], tiny_benchmark["test_ood"],
+        passes, mc_seed,
+    )
+    for samples in pair:
+        assert mutual_information_score(samples).min() >= -1e-12
 
 
 def test_evaluate_deterministic_model_flags_degenerate_mi(tiny_benchmark):
