@@ -31,7 +31,7 @@ from .metrics import (
     grid_bounds,
     mce,
 )
-from .nn import MlpModel, ModelFileError, load_model, save_model
+from .nn import MlpModel, ModelFileError, load_model, one_blas_thread, save_model
 from .scores import write_score_dump
 from .seeding import STREAM_INIT, derive_seed
 from .trainer import (
@@ -65,13 +65,17 @@ class DataError(Exception):
     pass
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def _load_json(path, what: str) -> dict:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} {path} must be a JSON object")
@@ -454,13 +458,11 @@ def cmd_sweep(args) -> int:
     data_dir = Path(args.data)
     benchmark = _load_benchmark_dir(data_dir, ("train", "val", "train_ood"))
     try:
-        best_config, rows = sweep(base_config, grid, benchmark, workers=args.workers)
+        best_config, best_model, rows = sweep(
+            base_config, grid, benchmark, workers=args.workers
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    # replay the winner standalone and persist its model
-    model = init_model(best_config, benchmark["train"].features.shape[1])
-    best_model, _ = train(best_config, benchmark, model)
 
     out_dir = _resolve_out(args.out, "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -566,7 +568,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

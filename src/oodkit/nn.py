@@ -8,6 +8,8 @@ produced them.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import json
 from dataclasses import dataclass
 
@@ -15,7 +17,7 @@ import numpy as np
 
 MODEL_FORMAT_VERSION = 1
 
-FORWARD_MODES = ("eval", "train", "mc_dropout")
+FORWARD_MODES = ("eval", "train")
 
 
 class DivergenceError(RuntimeError):
@@ -35,6 +37,45 @@ def _as_batch(x, dim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite entries in input batch")
     return x
+
+
+# numpy's bundled OpenBLAS (numpy >= 2 wheels) exports its thread-count
+# getter and setter under these names.
+BLAS_THREAD_SYMBOLS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def set_blas_threads(count: int) -> int | None:
+    """Set numpy's OpenBLAS thread count and return the previous count.
+    Returns None, changing nothing, where the symbols are not exported."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_ = (getattr(lib, name) for name in BLAS_THREAD_SYMBOLS)
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    previous = get()
+    set_(count)
+    return previous
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore the
+    previous count.
+
+    Every result is the same on any thread count. On matrices this small
+    a second thread buys little or no wall time and doubles the CPU time.
+    """
+    previous = set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)
 
 
 @dataclass
@@ -169,8 +210,8 @@ def forward(
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Run the network. Returns (logits, trace).
 
-    mode "eval" disables dropout; "train" and "mc_dropout" sample fresh
-    inverted-dropout masks from `seed` (required when dropout_rate > 0).
+    mode "eval" disables dropout; "train" samples fresh inverted-dropout
+    masks from `seed` (required when dropout_rate > 0).
     """
     if mode not in FORWARD_MODES:
         raise ValueError(f"mode must be one of {FORWARD_MODES}, got {mode!r}")
@@ -200,6 +241,51 @@ def forward(
         a = h
     trace = ForwardTrace(x, pre, hidden, masks)
     return pre[-1], trace
+
+
+def mc_dropout_probs(model: MlpModel, inputs, seeds) -> np.ndarray:
+    """Softmax outputs of one dropout pass per seed, shape (T, N, k).
+
+    Pass t equals softmax(forward(model, inputs, "train", seeds[t])[0])
+    bit for bit: it draws the same masks in the same order and does the
+    same float operations, only into buffers allocated once per call.
+    Layer 0's pre-activation and ReLU precede every mask, so they are
+    computed once.
+    """
+    x = _as_batch(inputs, model.input_dim)
+    weights, biases = model.weights, model.biases
+    last = len(weights) - 1
+    dropout_active = model.dropout_rate > 0.0 and last > 0
+    keep = 1.0 - model.dropout_rate
+    scale = 1.0 / keep
+    h0 = x @ weights[0].T + biases[0]
+    if last > 0:
+        np.maximum(h0, 0.0, out=h0)
+    # layers 1..last, each with a buffer for its masked input and one for
+    # its pre-activation
+    layers = [
+        (w, b, np.empty((len(x), w.shape[1])), np.empty((len(x), w.shape[0])))
+        for w, b in zip(weights[1:], biases[1:])
+    ]
+    probs = np.empty((len(seeds), len(x), model.num_classes))
+    for t, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed) if dropout_active else None
+        a = h0
+        for l, (w, b, masked, z) in enumerate(layers, start=1):
+            if dropout_active:
+                # h * (r < keep) * (1/keep) equals forward's
+                # h * ((r < keep) / keep): the mask is exactly 0 or 1/keep
+                rng.random(out=masked)
+                np.less(masked, keep, out=masked)
+                a = np.multiply(a, masked, out=masked)
+                a *= scale
+            np.matmul(a, w.T, out=z)
+            z += b
+            if l < last:
+                np.maximum(z, 0.0, out=z)
+            a = z
+        probs[t] = softmax(a)
+    return probs
 
 
 def softmax(logits) -> np.ndarray:

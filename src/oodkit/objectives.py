@@ -11,11 +11,22 @@ loss value and regime only, no gradients.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .nn import softmax
+
+
+def require_finite(config) -> None:
+    """Reject NaN and infinite floats in a config dataclass. Range checks
+    like `x < 0` are false for NaN, so they would let it through."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -45,6 +56,7 @@ class ObjectiveParams:
     k: int = 3
 
     def __post_init__(self):
+        require_finite(self)
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.lambda1 < 0 or self.lambda2 < 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import MlpModel, forward, softmax
+from .nn import MlpModel, forward, mc_dropout_probs, softmax
 from .seeding import STREAM_MC, derive_seed
 
 SCORE_KINDS = ("confidence", "entropy", "mutual_information", "mahalanobis")
@@ -58,18 +58,15 @@ def deterministic_samples(model: MlpModel, inputs) -> PredictiveSamples:
 def mc_dropout_predict(
     model: MlpModel, inputs, num_passes: int, seed: int
 ) -> PredictiveSamples:
-    """num_passes stochastic forward passes with per-pass derived seeds.
+    """num_passes stochastic forward passes; pass t draws its masks from
+    derive_seed(seed, STREAM_MC, t).
 
     With dropout_rate = 0 every pass equals the eval-mode prediction.
     """
     if num_passes < 1:
         raise ValueError(f"num_passes must be >= 1, got {num_passes}")
-    stack = []
-    for t in range(num_passes):
-        pass_seed = derive_seed(seed, STREAM_MC, t)
-        logits, _ = forward(model, inputs, mode="mc_dropout", seed=pass_seed)
-        stack.append(softmax(logits))
-    return PredictiveSamples(np.stack(stack, axis=0))
+    seeds = [derive_seed(seed, STREAM_MC, t) for t in range(num_passes)]
+    return PredictiveSamples(mc_dropout_probs(model, inputs, seeds))
 
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:

@@ -27,9 +27,11 @@ from .nn import (
     backward,
     forward,
     init_mlp,
+    one_blas_thread,
+    set_blas_threads,
     sgd_step,
 )
-from .objectives import ObjectiveParams
+from .objectives import ObjectiveParams, require_finite
 from .scores import (
     PredictiveSamples,
     confidence_score,
@@ -161,6 +163,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if self.objective not in OBJECTIVES:
             raise ValueError(
                 f"objective must be one of {OBJECTIVES}, got {self.objective!r}"
@@ -274,6 +277,9 @@ def _epoch_criterion(config: TrainConfig, record: EpochRecord) -> tuple:
     return (record.val_accuracy, -record.train_loss)
 
 
+# numpy's overflow warnings are silenced: the explicit finiteness checks
+# report a blow-up as TrainingDiverged, which says where it happened.
+@np.errstate(all="ignore")
 def train(
     config: TrainConfig, benchmark: dict[str, DatasetSplit], model: MlpModel
 ) -> tuple[MlpModel, TrainHistory]:
@@ -445,18 +451,19 @@ class SweepRow:
 
 def _sweep_task(
     cfg: TrainConfig, benchmark: dict[str, DatasetSplit]
-) -> tuple[float, float, bool]:
-    """Train one grid point; returns (val_acc, val_entropy_auc, diverged).
+) -> tuple[float, float, MlpModel] | None:
+    """Train one grid point; returns (val_acc, val_entropy_auc, trained
+    model), or None if it diverged.
 
     Module-level so process pools can pickle it.
     """
     model = init_model(cfg, benchmark["train"].features.shape[1])
     try:
-        _, history = train(cfg, benchmark, model)
+        trained, history = train(cfg, benchmark, model)
     except TrainingDiverged:
-        return (0.0, 0.0, True)
+        return None
     best = history.records[history.best_epoch - 1]
-    return (best.val_accuracy, best.val_entropy_auc, False)
+    return (best.val_accuracy, best.val_entropy_auc, trained)
 
 
 def sweep(
@@ -464,16 +471,19 @@ def sweep(
     grid: list[dict],
     benchmark: dict[str, DatasetSplit],
     workers: int = 1,
-) -> tuple[TrainConfig, list[SweepRow]]:
-    """Train every override point and select the best.
+) -> tuple[TrainConfig, MlpModel, list[SweepRow]]:
+    """Train every override point once and select the best; returns the
+    winner's config and trained model, and the leaderboard rows.
 
     Selection: among points whose validation accuracy is within 1.0
     point of the grid's best, take the highest validation entropy AUC.
     Grid points share the base seed, so the winning configuration can be
-    re-trained standalone and reproduce its leaderboard row exactly.
+    re-trained standalone and reproduce its leaderboard row and model
+    exactly.
 
-    workers > 1 trains grid points in a process pool; results are merged
-    by grid index, so the leaderboard is independent of scheduling.
+    workers > 1 trains grid points in a process pool of one-BLAS-thread
+    workers; results are merged by grid index, so the leaderboard is
+    independent of scheduling.
     """
     if not grid:
         raise ValueError("grid must contain at least one point")
@@ -492,21 +502,18 @@ def sweep(
 
     task = functools.partial(_sweep_task, benchmark=benchmark)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=set_blas_threads, initargs=(1,)
+        ) as pool:
             outcomes = list(pool.map(task, configs))
     else:
         outcomes = [task(cfg) for cfg in configs]
 
     rows = []
-    for i, (overrides, (val_acc, ent_auc, diverged)) in enumerate(
-        zip(grid, outcomes)
-    ):
-        if diverged:
-            rows.append(SweepRow(i, dict(overrides), None, None, diverged=True))
-        else:
-            rows.append(
-                SweepRow(i, dict(overrides), val_acc, ent_auc, diverged=False)
-            )
+    for i, (overrides, outcome) in enumerate(zip(grid, outcomes)):
+        val_acc, ent_auc, _ = outcome or (None, None, None)
+        rows.append(SweepRow(i, dict(overrides), val_acc, ent_auc,
+                             diverged=outcome is None))
 
     survivors = [r for r in rows if not r.diverged]
     if not survivors:
@@ -523,7 +530,7 @@ def sweep(
         return (guard, -r.val_entropy_auc, -r.val_accuracy, r.index)
 
     rows.sort(key=sort_key)
-    return configs[winner.index], rows
+    return configs[winner.index], outcomes[winner.index][2], rows
 
 
 def corruption_error_table(
@@ -680,6 +687,7 @@ def evaluate_model(
     return eval_report(model, test_id, pops, id_predictions, mc_passes, mce_value)
 
 
+@one_blas_thread()
 def run_experiment(
     config: TrainConfig,
     benchmark: dict[str, DatasetSplit],

@@ -1,11 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import oodkit.cli
 import oodkit.metrics
 import oodkit.trainer
 from oodkit.cli import OUT_ROOT_ENV, main
@@ -397,6 +401,46 @@ def test_divergence_exit_code(pipeline, tmp_path, capsys):
     assert "training diverged" in capsys.readouterr().err
 
 
+def test_divergence_prints_only_its_report(pipeline, tmp_path):
+    # a fresh process, so numpy's RuntimeWarnings would reach stderr
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"config_version": 1,
+                     "train": {"objective": "ce", "epochs": 3, "lr": 1e6}})
+    src = os.path.dirname(os.path.dirname(oodkit.trainer.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oodkit.cli", "train", "--config", str(cfg),
+         "--data", str(pipeline["data"]), "--out", str(tmp_path / "run")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("training diverged: ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_sweep_trains_each_grid_point_once(pipeline, tmp_path, monkeypatch):
+    trained = []
+    real_train = oodkit.trainer.train
+
+    def counting_train(config, *args):
+        trained.append(config.lam)
+        return real_train(config, *args)
+
+    monkeypatch.setattr(oodkit.trainer, "train", counting_train)
+    monkeypatch.setattr(oodkit.cli, "train", counting_train)
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"config_version": 1,
+                     "train": {"objective": "ce_cosine", "epochs": 1}})
+    grid = tmp_path / "grid.json"
+    write_json(grid, {"grid_version": 1,
+                      "grid": [{"lam": 0.5}, {"lam": 1.0}, {"lam": 2.0}]})
+    assert main([
+        "sweep", "--config", str(cfg), "--grid", str(grid),
+        "--data", str(pipeline["data"]), "--out", str(tmp_path / "sweep"),
+    ]) == 0
+    assert trained == [0.5, 1.0, 2.0]
+
+
 def test_invalid_scores_flag(pipeline, tmp_path, capsys):
     code = run_eval(pipeline, tmp_path / "eval", extra=["--scores", "sharpness"])
     assert code == 2
@@ -512,3 +556,47 @@ def test_model_data_dimension_mismatch(pipeline, tmp_path, capsys):
     ])
     assert code == 3
     assert "columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,where,text,reason", [
+    ("train", "config", '"ce_l1_strength": NaN', "is not a JSON number"),
+    ("train", "config", '"lr": Infinity', "is not a JSON number"),
+    ("train", "config", '"weight_decay": -Infinity', "is not a JSON number"),
+    ("train", "config", '"lr": 1e400', "lr must be finite"),
+    ("sweep", "config", '"lam": NaN', "is not a JSON number"),
+    ("sweep", "grid", '"lam": Infinity', "is not a JSON number"),
+    ("sweep", "grid", '"lam": -1e999', "lam must be finite"),
+])
+def test_non_finite_config_value_exits_2(pipeline, tmp_path, capsys,
+                                         command, where, text, reason):
+    # json accepts these tokens by default, and parses 1e400 as inf;
+    # range checks like x < 0 would let NaN through, so it used to train
+    # without the L1 penalty
+    train_keys = '"objective": "ce_l1", "epochs": 1'
+    if where == "config":
+        train_keys += ", " + text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"config_version": 1, "train": {%s}}' % train_keys)
+    out = tmp_path / "out"
+    args = [command, "--config", str(cfg), "--data", str(pipeline["data"]),
+            "--out", str(out)]
+    if command == "sweep":
+        grid = tmp_path / "grid.json"
+        point = text if where == "grid" else '"lr": 0.05'
+        grid.write_text('{"grid_version": 1, "grid": [{%s}]}' % point)
+        args += ["--grid", str(grid)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and reason in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe\x00{}")
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()

@@ -1,9 +1,15 @@
+import ctypes
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oodkit.nn as nn_mod
 from oodkit.nn import (
+    BLAS_THREAD_SYMBOLS,
     DivergenceError,
     MlpModel,
     ModelFileError,
@@ -12,7 +18,9 @@ from oodkit.nn import (
     forward,
     init_mlp,
     load_model,
+    one_blas_thread,
     save_model,
+    set_blas_threads,
     sgd_step,
     softmax,
 )
@@ -126,7 +134,7 @@ def test_forward_dropout_requires_seed():
 def test_forward_dropout_masks_recorded():
     m = small_model(dropout=0.5)
     x = np.random.default_rng(3).normal(size=(7, 2))
-    _, trace = forward(m, x, mode="mc_dropout", seed=12)
+    _, trace = forward(m, x, mode="train", seed=12)
     keep = 1.0 - m.dropout_rate
     for mask in trace.masks:
         assert mask is not None
@@ -142,7 +150,7 @@ def test_dropout_expectation_matches_eval():
     total = np.zeros_like(ev)
     n_passes = 10_000
     for t in range(n_passes):
-        logits, _ = forward(m, x, mode="mc_dropout", seed=t)
+        logits, _ = forward(m, x, mode="train", seed=t)
         total += logits
     scale = np.abs(ev).max()
     assert np.abs(total / n_passes - ev).max() <= 0.01 * scale
@@ -378,3 +386,64 @@ def test_load_inconsistent_shapes(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFileError):
         load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread pin
+# ---------------------------------------------------------------------------
+
+
+def blas_threads() -> int:
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return getattr(lib, BLAS_THREAD_SYMBOLS[0])()
+    except (AttributeError, OSError):
+        pytest.skip("numpy's BLAS exports no thread-count symbols")
+
+
+def test_one_blas_thread_restores_the_previous_count():
+    before = blas_threads()
+    set_blas_threads(2)
+    try:
+        with one_blas_thread():
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+        with pytest.raises(KeyError):
+            with one_blas_thread():
+                assert blas_threads() == 1
+                raise KeyError("body failed")
+        assert blas_threads() == 2
+    finally:
+        set_blas_threads(before)
+
+
+def test_one_blas_thread_is_a_no_op_without_the_symbols(monkeypatch):
+    before = blas_threads()
+    set_blas_threads(2)
+    try:
+        monkeypatch.setattr(nn_mod, "BLAS_THREAD_SYMBOLS",
+                            ("no_such_getter", "no_such_setter"))
+        assert set_blas_threads(1) is None
+        with one_blas_thread():
+            assert blas_threads() == 2
+        assert blas_threads() == 2
+    finally:
+        monkeypatch.undo()
+        set_blas_threads(before)
+
+
+def test_import_leaves_the_blas_thread_count_alone():
+    blas_threads()  # skips where the count cannot be read
+    code = (
+        "import ctypes, numpy as np\n"
+        "lib = ctypes.CDLL(np._core._multiarray_umath.__file__)\n"
+        f"get = lib.{BLAS_THREAD_SYMBOLS[0]}\n"
+        "before = get()\n"
+        "import oodkit, oodkit.cli\n"
+        "print(before, get())\n"
+    )
+    src = os.path.dirname(os.path.dirname(nn_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[0] == out[1]

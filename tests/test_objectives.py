@@ -391,3 +391,7 @@ def test_objective_params_validation():
         ObjectiveParams(alpha=0.0)
     with pytest.raises(ValueError):
         ObjectiveParams(alpha=1.2)
+    for name in ("lam", "gamma", "lambda1", "lambda2", "alpha"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ObjectiveParams(**{name: value})

@@ -2,9 +2,11 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oodkit.datasynth import make_default_benchmark
-from oodkit.nn import forward, init_mlp
+from oodkit.nn import forward, init_mlp, softmax
 from oodkit.scores import (
     PredictiveSamples,
     confidence_score,
@@ -18,6 +20,7 @@ from oodkit.scores import (
     predict_probs,
     write_score_dump,
 )
+from oodkit.seeding import STREAM_MC, derive_seed
 
 LN3 = float(np.log(3.0))
 
@@ -79,6 +82,35 @@ def test_mc_dropout_without_dropout_is_eval():
     ev = predict_probs(model, x)
     for t in range(4):
         np.testing.assert_array_equal(s.probs[t], ev)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hidden=st.sampled_from([(), (5,), (7, 4), (128, 128)]),
+    rate=st.one_of(st.just(0.0), st.floats(0.01, 0.9)),
+    rows=st.integers(1, 40),
+    passes=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mc_dropout_equals_train_forward_per_pass(hidden, rate, rows, passes, seed):
+    # the buffered pass loop must reproduce the traced forward bit for bit
+    model = init_mlp([3, *hidden, 4], dropout_rate=rate, seed=seed % 1000)
+    x = np.random.default_rng(seed).normal(scale=3.0, size=(rows, 3))
+    s = mc_dropout_predict(model, x, num_passes=passes, seed=seed)
+    assert s.probs.shape == (passes, rows, 4)
+    for t in range(passes):
+        pass_seed = derive_seed(seed, STREAM_MC, t)
+        logits, _ = forward(model, x, mode="train", seed=pass_seed)
+        assert s.probs[t].tobytes() == softmax(logits).tobytes()
+
+
+def test_mc_dropout_rejects_non_finite_logits():
+    model = init_mlp([2, 8, 3], dropout_rate=0.2, seed=0)
+    for w in model.weights:
+        w *= 1e200
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            mc_dropout_predict(model, np.full((4, 2), 1e200), num_passes=3, seed=0)
 
 
 def test_mc_dropout_rejects_bad_pass_count():

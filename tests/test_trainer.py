@@ -79,6 +79,15 @@ def test_config_rejects_bad_values(overrides):
         TrainConfig(**overrides)
 
 
+def test_config_rejects_non_finite_floats():
+    # NaN passes range checks like `lr < 0`; this must be caught first
+    for name in ("lr", "momentum", "weight_decay", "dropout_rate", "lam",
+                 "gamma", "lambda1", "lambda2", "alpha", "ce_l1_strength"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                TrainConfig(**{name: value})
+
+
 def test_config_accepts_numpy_integers():
     cfg = TrainConfig(epochs=np.int64(2), seed=np.int64(3),
                       hidden_dims=(np.int32(8),))
@@ -301,10 +310,10 @@ def test_history_round_trips_to_dict(tiny_benchmark):
 
 def canned_task(cfg, benchmark):
     table = {
-        0.0: (99.0, 90.0, False),
-        1.0: (98.5, 95.0, False),  # within the 1 pt guard, best separation
-        2.0: (97.0, 99.0, False),  # outside the guard despite top separation
-        3.0: (0.0, 0.0, True),
+        0.0: (99.0, 90.0, "model 0"),
+        1.0: (98.5, 95.0, "model 1"),  # within the 1 pt guard, best separation
+        2.0: (97.0, 99.0, "model 2"),  # outside the guard despite top separation
+        3.0: None,  # diverged
     }
     return table[cfg.lam]
 
@@ -313,8 +322,9 @@ def test_sweep_selection_and_ordering(tiny_benchmark, monkeypatch):
     monkeypatch.setattr(trainer_mod, "_sweep_task", canned_task)
     base = TrainConfig(objective="ce_cosine", epochs=1)
     grid = [{"lam": 0.0}, {"lam": 1.0}, {"lam": 2.0}, {"lam": 3.0}]
-    best, rows = sweep(base, grid, tiny_benchmark)
+    best, best_model, rows = sweep(base, grid, tiny_benchmark)
     assert best.lam == 1.0
+    assert best_model == "model 1"
     assert rows[0].overrides == {"lam": 1.0} and rows[0].selected
     assert [r.overrides["lam"] for r in rows] == [1.0, 0.0, 2.0, 3.0]
     assert rows[-1].diverged
@@ -324,7 +334,7 @@ def test_sweep_selection_and_ordering(tiny_benchmark, monkeypatch):
 
 def test_sweep_all_diverged(tiny_benchmark, monkeypatch):
     monkeypatch.setattr(
-        trainer_mod, "_sweep_task", lambda cfg, benchmark: (0.0, 0.0, True)
+        trainer_mod, "_sweep_task", lambda cfg, benchmark: None
     )
     with pytest.raises(TrainingDiverged):
         sweep(TrainConfig(), [{"lr": 0.1}], tiny_benchmark)
@@ -343,21 +353,29 @@ def test_sweep_validates_grid(tiny_benchmark):
 
 def test_sweep_winner_replays_standalone(tiny_benchmark):
     base = TrainConfig(objective="ce", epochs=2, seed=0)
-    best, rows = sweep(base, [{"epochs": 2}, {"epochs": 4}], tiny_benchmark)
+    best, best_model, rows = sweep(
+        base, [{"epochs": 2}, {"epochs": 4}], tiny_benchmark
+    )
     row = next(r for r in rows if r.selected)
-    _, history = train(best, tiny_benchmark, fresh_model(best, tiny_benchmark))
+    model, history = train(best, tiny_benchmark, fresh_model(best, tiny_benchmark))
     record = history.records[history.best_epoch - 1]
     assert record.val_accuracy == row.val_accuracy
     assert record.val_entropy_auc == row.val_entropy_auc
+    for a, b in zip(model.weights + model.biases,
+                    best_model.weights + best_model.biases):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_sweep_parallel_matches_serial(tiny_benchmark):
     base = TrainConfig(objective="ce", epochs=2, seed=0)
     grid = [{"lr": 0.05}, {"lr": 0.1}, {"lr": 0.2}]
-    best1, rows1 = sweep(base, grid, tiny_benchmark, workers=1)
-    best2, rows2 = sweep(base, grid, tiny_benchmark, workers=2)
+    best1, model1, rows1 = sweep(base, grid, tiny_benchmark, workers=1)
+    best2, model2, rows2 = sweep(base, grid, tiny_benchmark, workers=2)
     assert best1 == best2
     assert rows1 == rows2
+    for a, b in zip(model1.weights + model1.biases,
+                    model2.weights + model2.biases):
+        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
