@@ -45,7 +45,6 @@ from .objectives import (
     ObjectiveParams,
     ce_cosine_loss,
     cosine_margin_ranking_loss,
-    cosine_similarity,
     cross_entropy_loss,
     outlier_exposure_loss,
     triplet_ranking_loss,
@@ -54,7 +53,6 @@ from .scores import (
     MahalanobisDetector,
     PredictiveSamples,
     confidence_score,
-    deterministic_samples,
     entropy_score,
     fit_mahalanobis,
     mahalanobis_score,
@@ -62,6 +60,7 @@ from .scores import (
     mutual_information_score,
     penultimate_features,
     predict_probs,
+    predictive_samples,
 )
 from .trainer import (
     OBJECTIVES,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -96,48 +97,25 @@ def load_config(path) -> dict:
     return doc
 
 
-DATA_KEYS = {
-    "seed": 0,
-    "id_radius": 4.0,
-    "ood_radius": 1.5,
-    "sigma": 0.5,
-    "n_per_class": 500,
-    "n_per_ood_component": 500,
-    "split_fractions": (0.7, 0.15, 0.15),
-}
-
-EVAL_KEYS = {
-    "mc_passes": 30,
-    "mahalanobis": False,
-    "grid_resolution": 200,
-    "histogram_bins": 30,
-    "seed": 0,
-}
+# the data section is make_default_benchmark's keyword arguments
+DATA_KEYS = {name: param.default for name, param in
+             inspect.signature(make_default_benchmark).parameters.items()}
 
 
-def _section(doc: dict, name: str, defaults: dict) -> dict:
+def _section(doc: dict, name: str, known) -> dict:
     section = doc.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    unknown = set(section) - set(defaults)
+    unknown = set(section) - set(known)
     if unknown:
         raise ConfigError(
             f"unknown keys in config section {name!r}: {sorted(unknown)}"
         )
-    merged = dict(defaults)
-    merged.update(section)
-    return merged
+    return dict(section)
 
 
 def train_config_from(doc: dict, seed_override: int | None = None) -> TrainConfig:
-    section = doc.get("train", {})
-    if not isinstance(section, dict):
-        raise ConfigError("config section 'train' must be an object")
-    field_names = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(section) - field_names
-    if unknown:
-        raise ConfigError(f"unknown keys in config section 'train': {sorted(unknown)}")
-    kwargs = dict(section)
+    kwargs = _section(doc, "train", {f.name for f in dataclasses.fields(TrainConfig)})
     if seed_override is not None:
         kwargs["seed"] = seed_override
     try:
@@ -187,6 +165,19 @@ def write_manifest_file(manifest: dict, out_dir: Path) -> None:
     doc = dict(manifest)
     doc["created_utc"] = datetime.now(timezone.utc).isoformat()
     _dump_json(doc, out_dir / "manifest.json")
+
+
+def write_results(
+    command: str, config: dict, seeds: dict[str, int], out_dir: Path,
+    outputs: list[str], name: str, results: dict,
+) -> None:
+    """Write `results` to `name` with the manifest of `outputs` embedded
+    as its last key, then manifest.json, which also covers `name`."""
+    results["manifest"] = build_manifest(command, config, seeds, out_dir, outputs)
+    _dump_json(results, out_dir / name)
+    write_manifest_file(
+        build_manifest(command, config, seeds, out_dir, [*outputs, name]), out_dir
+    )
 
 
 def _load_benchmark_dir(data_dir: Path, roles: tuple[str, ...]) -> dict:
@@ -249,19 +240,11 @@ def _parse_scores(arg: str) -> tuple[str, ...]:
 
 def cmd_gen_data(args) -> int:
     doc = load_config(args.config)
-    section = _section(doc, "data", DATA_KEYS)
+    section = {**DATA_KEYS, **_section(doc, "data", DATA_KEYS)}
     if args.seed is not None:
         section["seed"] = args.seed
     try:
-        benchmark = make_default_benchmark(
-            seed=int(section["seed"]),
-            id_radius=float(section["id_radius"]),
-            ood_radius=float(section["ood_radius"]),
-            sigma=float(section["sigma"]),
-            n_per_class=int(section["n_per_class"]),
-            n_per_ood_component=int(section["n_per_ood_component"]),
-            split_fractions=tuple(section["split_fractions"]),
-        )
+        benchmark = make_default_benchmark(**section)
     except ValueError as exc:
         raise ConfigError(f"invalid data config: {exc}") from exc
     out_dir = _resolve_out(args.out, "gen-data")
@@ -272,7 +255,7 @@ def cmd_gen_data(args) -> int:
         write_split(split, out_dir / name)
         outputs.append(name)
     manifest = build_manifest(
-        "gen-data", section, {"data": int(section["seed"])}, out_dir, outputs
+        "gen-data", section, {"data": section["seed"]}, out_dir, outputs
     )
     write_manifest_file(manifest, out_dir)
     for name in sorted(outputs):
@@ -332,15 +315,22 @@ def cmd_eval(args) -> int:
     test_id, test_ood = benchmark["test_id"], benchmark["test_ood"]
     _check_input_dim(model, test_id)
 
-    pops, id_predictions = score_populations(
-        model,
-        test_id,
-        test_ood,
-        mc_passes=args.mc_passes,
-        seed=args.seed,
-        train_split=benchmark.get("train"),
-    )
-    report = eval_report(model, test_id, pops, id_predictions, args.mc_passes)
+    try:
+        pops, id_samples = score_populations(
+            model,
+            test_id,
+            test_ood,
+            mc_passes=args.mc_passes,
+            seed=args.seed,
+            train_split=benchmark.get("train"),
+        )
+    except ValueError as exc:
+        # a train split the Mahalanobis fit cannot use, or overflowing outputs
+        raise DataError(f"cannot evaluate {args.model} on {data_dir}: {exc}") from exc
+    report = eval_report(test_id, pops, id_samples, args.mc_passes)
+    # the MC draws would otherwise stay alive through the grid forward,
+    # the command's memory peak
+    del id_samples
 
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -363,33 +353,22 @@ def cmd_eval(args) -> int:
         export_decision_grid(model, bounds, args.grid_resolution, paths)
         outputs.extend(p.name for p in paths.values())
 
-    manifest = build_manifest(
-        "eval",
-        {
-            "model": str(args.model),
-            "data": str(args.data),
-            "mc_passes": args.mc_passes,
-            "mahalanobis": args.mahalanobis,
-            "scores": ",".join(score_kinds),
-            "grid_resolution": args.grid_resolution,
-            "histogram_bins": args.histogram_bins,
-        },
-        {"eval": args.seed},
-        out_dir,
-        outputs,
-    )
     results = {
         "accuracy": round(report.id_accuracy, 2),
         "auc": {kind: round(auc, 2) for kind, auc in report.auc.items()},
         "warnings": report.warnings,
-        "manifest": manifest,
     }
-    _dump_json(results, out_dir / "results.json")
-    outputs.append("results.json")
-    manifest_full = build_manifest(
-        "eval", manifest["config"], {"eval": args.seed}, out_dir, outputs
-    )
-    write_manifest_file(manifest_full, out_dir)
+    config = {
+        "model": str(args.model),
+        "data": str(args.data),
+        "mc_passes": args.mc_passes,
+        "mahalanobis": args.mahalanobis,
+        "scores": ",".join(score_kinds),
+        "grid_resolution": args.grid_resolution,
+        "histogram_bins": args.histogram_bins,
+    }
+    write_results("eval", config, {"eval": args.seed}, out_dir, outputs,
+                  "results.json", results)
 
     print(f"accuracy: {results['accuracy']:.2f}%")
     for kind, val in results["auc"].items():
@@ -404,6 +383,11 @@ def cmd_corrupt_eval(args) -> int:
     benchmark = _load_benchmark_dir(data_dir, ("test_id",))
     test_id = benchmark["test_id"]
     _check_input_dim(model, test_id)
+    if test_id.features.shape[1] != 2:
+        raise DataError(
+            "the corruption suite needs 2-D features (rotate is planar), but "
+            f"{data_dir / 'test_id.csv'} has {test_id.features.shape[1]} columns"
+        )
     clean_error = round(
         100.0 - accuracy(classify(model, test_id.features), test_id.labels), 2
     )
@@ -414,26 +398,15 @@ def cmd_corrupt_eval(args) -> int:
     }
     out_dir = _resolve_out(args.out, "corrupt-eval")
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = build_manifest(
-        "corrupt-eval",
-        {"model": str(args.model), "data": str(args.data)},
-        {"corrupt": args.seed},
-        out_dir,
-        [],
-    )
     results = {
         "clean_error": clean_error,
         "errors": rounded,
         "mce": round(mce(table), 2),
         "warnings": [],
-        "manifest": manifest,
     }
-    _dump_json(results, out_dir / "corruption_report.json")
-    manifest_full = build_manifest(
-        "corrupt-eval", manifest["config"], {"corrupt": args.seed}, out_dir,
-        ["corruption_report.json"],
-    )
-    write_manifest_file(manifest_full, out_dir)
+    config = {"model": str(args.model), "data": str(args.data)}
+    write_results("corrupt-eval", config, {"corrupt": args.seed}, out_dir, [],
+                  "corruption_report.json", results)
     print(f"clean error: {clean_error:.2f}%")
     print(f"mCE: {results['mce']:.2f}")
     print(f"wrote {out_dir / 'corruption_report.json'}")
@@ -467,18 +440,12 @@ def cmd_sweep(args) -> int:
     out_dir = _resolve_out(args.out, "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(best_model, out_dir / "model.json")
-    leaderboard = {
-        "rows": [
-            {
-                **row.to_dict(),
-                "val_accuracy": None if row.val_accuracy is None
-                else round(row.val_accuracy, 2),
-                "val_entropy_auc": None if row.val_entropy_auc is None
-                else round(row.val_entropy_auc, 2),
-            }
-            for row in rows
-        ],
-    }
+    # the validation metrics are the rows' only floats
+    leaderboard = {"rows": [
+        {k: round(v, 2) if isinstance(v, float) else v
+         for k, v in row.to_dict().items()}
+        for row in rows
+    ]}
     _dump_json(leaderboard, out_dir / "leaderboard.json")
     _dump_json(dataclasses.asdict(best_config), out_dir / "best_config.json")
     manifest = build_manifest(
@@ -525,20 +492,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None, help=out_help)
-    p.add_argument("--mc-passes", type=int, default=EVAL_KEYS["mc_passes"])
+    p.add_argument("--mc-passes", type=int, default=30)
     p.add_argument("--mahalanobis", action="store_true")
     p.add_argument(
         "--scores",
         default=",".join(SOFTMAX_SCORE_KINDS),
         help="comma-separated score kinds to export as CSV dumps",
     )
-    p.add_argument(
-        "--grid-resolution", type=int, default=EVAL_KEYS["grid_resolution"]
-    )
-    p.add_argument(
-        "--histogram-bins", type=int, default=EVAL_KEYS["histogram_bins"]
-    )
-    p.add_argument("--seed", type=int, default=EVAL_KEYS["seed"])
+    p.add_argument("--grid-resolution", type=int, default=200)
+    p.add_argument("--histogram-bins", type=int, default=30)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(

@@ -9,6 +9,7 @@ deterministically per seed.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,15 @@ ROLES = ID_ROLES + OOD_ROLES
 
 CORRUPTION_KINDS = ("gaussian_noise", "uniform_noise", "translate", "scale", "rotate")
 SEVERITIES = (1, 2, 3, 4, 5)
+
+
+def is_int(value) -> bool:
+    # bool is an int subclass but never a count; numpy integers are fine
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -136,6 +146,17 @@ def make_default_benchmark(
     region between the classes rather than beyond them; both radii are
     free parameters.
     """
+    for name, value in (("seed", seed), ("n_per_class", n_per_class),
+                        ("n_per_ood_component", n_per_ood_component)):
+        if not is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name, value in (("id_radius", id_radius), ("ood_radius", ood_radius),
+                        ("sigma", sigma)):
+        if not is_number(value):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+    if not (isinstance(split_fractions, (list, tuple)) and len(split_fractions) == 3
+            and all(map(is_number, split_fractions))):
+        raise ValueError(f"split_fractions must be 3 numbers, got {split_fractions!r}")
     if id_radius <= 0 or ood_radius <= 0:
         raise ValueError("radii must be > 0")
     if abs(sum(split_fractions) - 1.0) > 1e-9 or any(f <= 0 for f in split_fractions):

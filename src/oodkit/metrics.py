@@ -14,7 +14,7 @@ import numpy as np
 
 from .datasynth import CORRUPTION_KINDS, SEVERITIES
 from .nn import MlpModel, forward, softmax
-from .scores import SCORE_KINDS, _entropy_rows
+from .scores import SCORE_KINDS, _entropy_rows, predictive_samples
 
 ORIENTATIONS = ("higher_id", "higher_ood")
 GRID_QUANTITIES = ("predicted_class", "confidence", "entropy")
@@ -57,9 +57,10 @@ def accuracy(predictions, labels) -> float:
 
 
 def classify(model: MlpModel, inputs) -> np.ndarray:
-    """Eval-mode argmax class indices."""
-    logits, _ = forward(model, inputs, mode="eval")
-    return logits.argmax(axis=1)
+    """Argmax class of the pass-averaged predictive distribution, which
+    is one eval pass for now."""
+    samples, _ = predictive_samples(model, inputs, passes=1, seed=0)
+    return samples.mean_probs().argmax(axis=1)
 
 
 def mce(error_table: dict[str, dict[int, float]]) -> float:

@@ -107,19 +107,6 @@ def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     return p * (g - dot)
 
 
-def cosine_similarity(u, v) -> float:
-    """Cosine of the angle between two vectors. Errors on zero norm."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm vectors")
-    return float(u @ v / (nu * nv))
-
-
 def _row_cosines(p: np.ndarray, q: np.ndarray):
     """Per-row cosine of two probability batches plus cached norms."""
     pn = np.linalg.norm(p, axis=1, keepdims=True)

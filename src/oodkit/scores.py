@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import MlpModel, forward, mc_dropout_probs, softmax
+from .nn import ForwardTrace, MlpModel, forward, mc_dropout_probs, softmax
 from .seeding import STREAM_MC, derive_seed
 
 SCORE_KINDS = ("confidence", "entropy", "mutual_information", "mahalanobis")
@@ -50,11 +50,6 @@ def predict_probs(model: MlpModel, inputs) -> np.ndarray:
     return softmax(logits)
 
 
-def deterministic_samples(model: MlpModel, inputs) -> PredictiveSamples:
-    """Single eval pass wrapped as a T=1 sample stack."""
-    return PredictiveSamples(predict_probs(model, inputs)[None, :, :])
-
-
 def mc_dropout_predict(
     model: MlpModel, inputs, num_passes: int, seed: int
 ) -> PredictiveSamples:
@@ -67,6 +62,21 @@ def mc_dropout_predict(
         raise ValueError(f"num_passes must be >= 1, got {num_passes}")
     seeds = [derive_seed(seed, STREAM_MC, t) for t in range(num_passes)]
     return PredictiveSamples(mc_dropout_probs(model, inputs, seeds))
+
+
+def predictive_samples(
+    model: MlpModel, inputs, passes: int, seed: int
+) -> tuple[PredictiveSamples, ForwardTrace | None]:
+    """The model's predictive distribution on `inputs`, as it deploys.
+
+    A dropout model with passes > 1 gets `passes` MC-dropout passes
+    seeded by `seed`, and the trace is None. Otherwise one eval-mode
+    pass gives a T=1 stack, returned with that pass's trace.
+    """
+    if passes > 1 and model.dropout_rate > 0:
+        return mc_dropout_predict(model, inputs, passes, seed), None
+    logits, trace = forward(model, inputs, mode="eval")
+    return PredictiveSamples(softmax(logits)[None, :, :]), trace
 
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:
@@ -143,13 +153,16 @@ def fit_mahalanobis(
     for i, c in enumerate(classes):
         block = x[y == c]
         if block.shape[0] < 2:
-            raise ValueError(f"class {c} has fewer than 2 samples")
+            raise ValueError(f"Mahalanobis fit needs 2 rows per class; class {c} has 1")
         means[i] = block.mean(axis=0)
         centred = block - means[i]
         pooled += centred.T @ centred
     pooled /= x.shape[0]
     if shrinkage is None:
         shrinkage = 1e-6 * np.trace(pooled) / d
+        if shrinkage == 0:
+            raise ValueError("Mahalanobis fit needs features that vary, but "
+                             "they are constant within every class")
     cov = pooled + shrinkage * np.eye(d)
     try:
         np.linalg.cholesky(cov)

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import objectives
-from .datasynth import CORRUPTION_KINDS, SEVERITIES, CorruptionSpec, DatasetSplit, corrupt
+from .datasynth import (
+    CORRUPTION_KINDS, SEVERITIES, CorruptionSpec, DatasetSplit, corrupt, is_int,
+)
 from .metrics import EvalReport, accuracy, auc_roc, classify, mce
 from .nn import (
     DivergenceError,
@@ -35,13 +37,12 @@ from .objectives import ObjectiveParams, require_finite
 from .scores import (
     PredictiveSamples,
     confidence_score,
-    deterministic_samples,
     entropy_score,
     fit_mahalanobis,
     mahalanobis_score,
-    mc_dropout_predict,
     mutual_information_score,
     penultimate_features,
+    predictive_samples,
 )
 from .seeding import (
     STREAM_CORRUPT,
@@ -129,11 +130,6 @@ OBJECTIVES = tuple(OBJECTIVE_TABLE)
 OOD_OBJECTIVES = tuple(n for n, spec in OBJECTIVE_TABLE.items() if spec.needs_ood)
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass but never a count; numpy integers are fine
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 class TrainingDiverged(RuntimeError):
     """Loss or gradients went non-finite. Carries the partial history."""
 
@@ -170,12 +166,11 @@ class TrainConfig:
             )
         for name in ("epochs", "batch_size", "k", "mc_passes", "seed"):
             value = getattr(self, name)
-            if not _is_int(value):
+            if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("epochs", "batch_size", "mc_passes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         # lr = 0 is allowed so a freeze run stays expressible
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
@@ -188,11 +183,9 @@ class TrainConfig:
                 f"dropout_rate must be in [0, 1), got {self.dropout_rate}"
             )
         dims = tuple(self.hidden_dims)
-        if not dims or not all(_is_int(h) and h >= 1 for h in dims):
+        if not dims or not all(is_int(h) and h >= 1 for h in dims):
             raise ValueError(f"hidden_dims must be positive integers, got {dims}")
         self.hidden_dims = tuple(int(h) for h in dims)
-        if self.mc_passes < 1:
-            raise ValueError(f"mc_passes must be >= 1, got {self.mc_passes}")
         if self.ce_l1_strength < 0:
             raise ValueError(
                 f"ce_l1_strength must be >= 0, got {self.ce_l1_strength}"
@@ -260,7 +253,7 @@ def _validation_metrics(
 ) -> tuple[float, float]:
     """Validation accuracy and entropy AUC under deployment semantics:
     MC-averaged predictions for a dropout model, one eval pass otherwise."""
-    s_val, s_ood = predictive_samples_pair(
+    (s_val, _), (s_ood, _) = predictive_samples_pair(
         model, val, val_ood, VAL_MC_PASSES, mc_seed
     )
     val_acc = accuracy(s_val.mean_probs().argmax(axis=1), val.labels)
@@ -496,7 +489,7 @@ def sweep(
             raise ValueError(f"grid point {i} has unknown fields: {sorted(bad)}")
         try:
             cfg = dataclasses.replace(base_config, **overrides)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"grid point {i} invalid: {exc}") from exc
         configs.append(cfg)
 
@@ -558,22 +551,23 @@ def predictive_samples_pair(
     split_ood: DatasetSplit,
     passes: int,
     mc_seed: int,
-) -> tuple[PredictiveSamples, PredictiveSamples]:
-    """The predictive distribution of a model on a pair of splits.
+) -> tuple[tuple[PredictiveSamples, np.ndarray | None], ...]:
+    """predictive_samples on a pair of splits. Per split it returns the
+    samples and, for an eval pass, that pass's penultimate features (None
+    for MC passes).
 
-    A dropout model with passes > 1 is sampled as it deploys: `passes`
-    MC-dropout passes, seeded by mc_seed for split_id and by
-    derive_seed(mc_seed, 1) for split_ood. Otherwise each split gets one
-    eval-mode pass.
+    MC passes on split_id are seeded by mc_seed, on split_ood by
+    derive_seed(mc_seed, 1).
     """
-    if passes > 1 and model.dropout_rate > 0:
-        seed_ood = derive_seed(mc_seed, 1)
-        return (
-            mc_dropout_predict(model, split_id.features, passes, mc_seed),
-            mc_dropout_predict(model, split_ood.features, passes, seed_ood),
-        )
-    splits = (split_id, split_ood)
-    return tuple(deterministic_samples(model, s.features) for s in splits)
+    def draw(split: DatasetSplit, seed: int):
+        # the trace is dropped here, so only its features stay in memory
+        samples, trace = predictive_samples(model, split.features, passes, seed)
+        return samples, None if trace is None else trace.penultimate_features
+
+    s_id, features_id = draw(split_id, mc_seed)
+    # an eval pass ignores its seed, so the OOD one is derived only for MC
+    seed_ood = mc_seed if features_id is not None else derive_seed(mc_seed, 1)
+    return (s_id, features_id), draw(split_ood, seed_ood)
 
 
 def score_populations(
@@ -583,14 +577,15 @@ def score_populations(
     mc_passes: int = 1,
     seed: int = 0,
     train_split: DatasetSplit | None = None,
-) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Raw (id, ood) score pairs per kind, and the ID class predictions.
+) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], PredictiveSamples]:
+    """Raw (id, ood) score pairs per kind, and the ID predictive samples.
 
-    The softmax kinds and the predictions come from one draw of
-    predictive samples. Given train_split, Mahalanobis scores over
-    penultimate features, fit on that split, are added.
+    The softmax kinds come from one draw of predictive samples. Given
+    train_split, Mahalanobis scores over penultimate features, fit on
+    that split, are added; a test split scored by one eval pass reuses
+    that pass's features.
     """
-    s_id, s_ood = predictive_samples_pair(
+    (s_id, features_id), (s_ood, features_ood) = predictive_samples_pair(
         model, test_id, test_ood, mc_passes, derive_seed(seed, STREAM_MC)
     )
     pops = {
@@ -606,10 +601,11 @@ def score_populations(
             penultimate_features(model, train_split.features), train_split.labels
         )
         pops["mahalanobis"] = tuple(
-            mahalanobis_score(detector, penultimate_features(model, split.features))
-            for split in (test_id, test_ood)
+            mahalanobis_score(detector, penultimate_features(model, split.features)
+                              if features is None else features)
+            for split, features in ((test_id, features_id), (test_ood, features_ood))
         )
-    return pops, s_id.mean_probs().argmax(axis=1)
+    return pops, s_id
 
 
 _ORIENTATION = {
@@ -621,27 +617,26 @@ _ORIENTATION = {
 
 
 def eval_report(
-    model: MlpModel,
     test_id: DatasetSplit,
     populations: dict[str, tuple[np.ndarray, np.ndarray]],
-    id_predictions: np.ndarray,
+    id_samples: PredictiveSamples,
     mc_passes: int,
     mce_value: float | None = None,
 ) -> EvalReport:
     """Accuracy, per-kind AUC and warnings from score_populations' output."""
     warnings: list[str] = []
-    if mc_passes > 1 and model.dropout_rate == 0:
-        warnings.append(
-            "mc_passes > 1 requested but the model has dropout_rate 0; "
-            "scores fall back to a single deterministic pass"
-        )
-    if mc_passes <= 1 or model.dropout_rate == 0:
+    if id_samples.num_passes == 1:
+        if mc_passes > 1:
+            warnings.append(
+                "mc_passes > 1 requested but the model has dropout_rate 0; "
+                "scores fall back to a single deterministic pass"
+            )
         warnings.append(
             "mutual_information is identically zero for single-pass "
             "deterministic evaluation; its AUC degenerates to 50.00"
         )
     return EvalReport(
-        id_accuracy=accuracy(id_predictions, test_id.labels),
+        id_accuracy=accuracy(id_samples.mean_probs().argmax(axis=1), test_id.labels),
         auc={
             kind: 100.0 * auc_roc(s_id, s_ood, _ORIENTATION[kind])
             for kind, (s_id, s_ood) in populations.items()
@@ -673,7 +668,7 @@ def evaluate_model(
     if with_mahalanobis and "train" not in benchmark:
         raise ValueError("mahalanobis evaluation needs the train split")
     test_id = benchmark["test_id"]
-    pops, id_predictions = score_populations(
+    pops, id_samples = score_populations(
         model,
         test_id,
         benchmark["test_ood"],
@@ -684,7 +679,7 @@ def evaluate_model(
     mce_value = None
     if with_corruptions:
         mce_value = mce(corruption_error_table(model, test_id, seed))
-    return eval_report(model, test_id, pops, id_predictions, mc_passes, mce_value)
+    return eval_report(test_id, pops, id_samples, mc_passes, mce_value)
 
 
 @one_blas_thread()

@@ -11,8 +11,10 @@ import pytest
 
 import oodkit.cli
 import oodkit.metrics
+import oodkit.scores
 import oodkit.trainer
 from oodkit.cli import OUT_ROOT_ENV, main
+from oodkit.datasynth import DatasetSplit, read_split, write_split
 from oodkit.nn import init_mlp, load_model, save_model
 
 BASE_CONFIG = {
@@ -210,7 +212,7 @@ def test_eval_does_each_piece_of_work_once(pipeline, tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapped)
 
-    spy(oodkit.trainer, "mc_dropout_predict", passes,
+    spy(oodkit.scores, "mc_dropout_predict", passes,
         lambda model, inputs, num_passes, seed: num_passes)
     spy(oodkit.trainer, "fit_mahalanobis", fits, lambda *a, **k: 1)
     spy(oodkit.metrics, "forward", grid_rows, lambda model, inputs, **k: len(inputs))
@@ -225,6 +227,21 @@ def test_eval_does_each_piece_of_work_once(pipeline, tmp_path, monkeypatch):
     assert {p.name for p in (tmp_path / "eval").iterdir()} >= {
         "grid_predicted_class.csv", "grid_confidence.csv", "grid_entropy.csv",
     }
+
+
+def test_dropout_free_eval_forwards_each_split_once(pipeline, tmp_path, monkeypatch):
+    rows = []
+    for module in (oodkit.scores, oodkit.metrics, oodkit.trainer):
+        original = module.forward
+
+        def counting(model, inputs, *args, _original=original, **kwargs):
+            rows.append(len(inputs))
+            return _original(model, inputs, *args, **kwargs)
+
+        monkeypatch.setattr(module, "forward", counting)
+    assert run_eval(pipeline, tmp_path / "eval", extra=["--mahalanobis"]) == 0
+    # test_id, test_ood, train (for the fit) and the 24 x 24 grid
+    assert sorted(rows) == sorted([18, 80, 84, 24 * 24])
 
 
 def test_eval_reads_only_the_splits_it_uses(pipeline, tmp_path):
@@ -599,4 +616,106 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
     assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", 1.5),
+    ("seed", True),
+    ("n_per_class", 40.5),
+    ("n_per_class", None),
+    ("n_per_ood_component", True),
+    ("n_per_ood_component", "40"),
+    ("id_radius", "4"),
+    ("ood_radius", None),
+    ("sigma", "0.5"),
+    ("sigma", True),
+    ("split_fractions", "abc"),
+    ("split_fractions", 5),
+    ("split_fractions", [0.5, 0.2, 0.2, 0.1]),
+    ("split_fractions", [0.7, "0.15", 0.15]),
+])
+def test_wrong_typed_data_value_exits_2(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {**BASE_CONFIG, "data": {**BASE_CONFIG["data"], key: value}})
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("point", [{"hidden_dims": 5}, {"lr": "x"}])
+def test_wrong_typed_grid_value_exits_2(pipeline, tmp_path, capsys, point):
+    grid = tmp_path / "grid.json"
+    write_json(grid, {"grid_version": 1, "grid": [{"lr": 0.05}, point]})
+    out = tmp_path / "sweep"
+    assert main([
+        "sweep", "--config", str(pipeline["config"]), "--grid", str(grid),
+        "--data", str(pipeline["data"]), "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid point 1 invalid")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_corrupt_eval_on_non_planar_data_exits_3(tmp_path, capsys, dim):
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(0)
+    write_split(DatasetSplit(rng.normal(size=(12, dim)), np.arange(12) % 3,
+                             "test_id"), data / "test_id.csv")
+    model = tmp_path / "model.json"
+    save_model(init_mlp([dim, 8, 3], seed=0), model)
+    out = tmp_path / "corrupt"
+    assert main([
+        "corrupt-eval", "--model", str(model), "--data", str(data),
+        "--out", str(out),
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "2-D" in err
+    assert not out.exists()
+
+
+def _dead_model(path):
+    # the hidden ReLU never fires, so every penultimate feature is 0
+    model = init_mlp([2, 8, 3], seed=0)
+    model.weights[0][:] = 0.0
+    model.biases[0][:] = -1.0
+    save_model(model, path)
+    return path
+
+
+def _one_row_class_data(pipeline, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("test_id.csv", "test_ood.csv"):
+        (data / name).write_bytes((pipeline["data"] / name).read_bytes())
+    train = read_split(pipeline["data"] / "train.csv", role="train")
+    keep = (train.labels != 2) | (np.cumsum(train.labels == 2) == 1)
+    write_split(DatasetSplit(train.features[keep], train.labels[keep], "train"),
+                data / "train.csv")
+    return data
+
+
+@pytest.mark.parametrize("case,reason", [
+    ("dead_layer", "Mahalanobis fit needs features that vary"),
+    ("one_row_class", "Mahalanobis fit needs 2 rows per class; class 2 has 1"),
+])
+def test_degenerate_mahalanobis_fit_exits_3(pipeline, tmp_path, capsys, case, reason):
+    model, data = pipeline["model"], pipeline["data"]
+    if case == "dead_layer":
+        model = _dead_model(tmp_path / "dead.json")
+    else:
+        data = _one_row_class_data(pipeline, tmp_path)
+    out = tmp_path / "eval"
+    assert main([
+        "eval", "--model", str(model), "--data", str(data), "--out", str(out),
+        "--mahalanobis", "--grid-resolution", "24",
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and reason in err
+    assert "Traceback" not in err
     assert not out.exists()

@@ -8,7 +8,6 @@ from oodkit.objectives import (
     ObjectiveParams,
     ce_cosine_loss,
     cosine_margin_ranking_loss,
-    cosine_similarity,
     cross_entropy_loss,
     outlier_exposure_loss,
     triplet_ranking_loss,
@@ -72,47 +71,6 @@ def test_ce_input_validation():
         cross_entropy_loss(np.array([[np.inf, 0.0]]), np.array([0]))
     with pytest.raises(ValueError):
         cross_entropy_loss(np.zeros((2, 3)), np.array([0.0, 1.0]))  # float labels
-
-
-# ---------------------------------------------------------------------------
-# cosine similarity
-# ---------------------------------------------------------------------------
-
-
-def test_cosine_self_is_one():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        u = rng.normal(size=5)
-        assert cosine_similarity(u, u) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cosine_orthogonal():
-    assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-
-def test_cosine_analytic():
-    assert cosine_similarity([1.0, 1.0], [1.0, 0.0]) == pytest.approx(
-        1.0 / np.sqrt(2.0), abs=1e-12
-    )
-
-
-def test_cosine_zero_norm_rejected():
-    with pytest.raises(ValueError):
-        cosine_similarity([0.0, 0.0], [1.0, 0.0])
-
-
-@given(
-    st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
-    st.floats(1e-3, 1e3),
-    st.floats(1e-3, 1e3),
-)
-@settings(max_examples=60, deadline=None)
-def test_cosine_scale_invariance(vec, a, b):
-    u = np.array(vec) + 1.0  # keep away from the zero vector
-    v = np.arange(1.0, 4.0)
-    assert abs(
-        cosine_similarity(a * u, b * v) - cosine_similarity(u, v)
-    ) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

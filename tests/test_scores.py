@@ -10,7 +10,6 @@ from oodkit.nn import forward, init_mlp, softmax
 from oodkit.scores import (
     PredictiveSamples,
     confidence_score,
-    deterministic_samples,
     entropy_score,
     fit_mahalanobis,
     mahalanobis_score,
@@ -18,6 +17,7 @@ from oodkit.scores import (
     mutual_information_score,
     penultimate_features,
     predict_probs,
+    predictive_samples,
     write_score_dump,
 )
 from oodkit.seeding import STREAM_MC, derive_seed
@@ -51,11 +51,29 @@ def test_samples_validation():
 
 
 def test_deterministic_samples_match_predict_probs():
+    # a dropout-free model gets one eval pass whatever the pass count
     model = init_mlp([2, 8, 3], seed=0)
     x = np.random.default_rng(1).normal(size=(7, 2))
-    s = deterministic_samples(model, x)
-    assert s.num_passes == 1
-    np.testing.assert_array_equal(s.probs[0], predict_probs(model, x))
+    for passes in (1, 5):
+        s, trace = predictive_samples(model, x, passes, seed=3)
+        assert s.num_passes == 1
+        np.testing.assert_array_equal(s.probs[0], predict_probs(model, x))
+        np.testing.assert_array_equal(
+            trace.penultimate_features, penultimate_features(model, x)
+        )
+
+
+def test_predictive_samples_mc_only_for_dropout_with_several_passes():
+    model = init_mlp([2, 8, 3], dropout_rate=0.3, seed=0)
+    x = np.random.default_rng(1).normal(size=(7, 2))
+    s, trace = predictive_samples(model, x, 4, seed=3)
+    assert trace is None
+    np.testing.assert_array_equal(
+        s.probs, mc_dropout_predict(model, x, num_passes=4, seed=3).probs
+    )
+    one, trace = predictive_samples(model, x, 1, seed=3)
+    assert trace is not None
+    np.testing.assert_array_equal(one.probs[0], predict_probs(model, x))
 
 
 def test_mc_dropout_deterministic_per_seed():

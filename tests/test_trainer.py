@@ -10,7 +10,11 @@ from oodkit import objectives
 from oodkit.datasynth import CORRUPTION_KINDS, SEVERITIES
 from oodkit.metrics import accuracy, classify
 from oodkit.nn import forward, init_mlp, softmax
-from oodkit.scores import mc_dropout_predict, mutual_information_score
+from oodkit.scores import (
+    mutual_information_score,
+    penultimate_features,
+    predictive_samples,
+)
 from oodkit.seeding import STREAM_DROPOUT, derive_seed
 from oodkit.trainer import (
     TrainConfig,
@@ -398,18 +402,23 @@ def test_corruption_table_shape_and_determinism(tiny_benchmark):
 def test_predictive_samples_pair_modes(tiny_benchmark):
     test_id, test_ood = tiny_benchmark["test_id"], tiny_benchmark["test_ood"]
     det = init_mlp([2, 8, 3], seed=1)
-    s_id, s_ood = predictive_samples_pair(det, test_id, test_ood, 5, 3)
-    assert s_id.num_passes == 1 and s_ood.num_passes == 1
+    pair = predictive_samples_pair(det, test_id, test_ood, 5, 3)
+    for (samples, features), split in zip(pair, (test_id, test_ood)):
+        assert samples.num_passes == 1
+        np.testing.assert_array_equal(
+            features, penultimate_features(det, split.features)
+        )
 
     mc = init_mlp([2, 8, 3], dropout_rate=0.3, seed=1)
-    a_id, a_ood = predictive_samples_pair(mc, test_id, test_ood, 5, 3)
+    (a_id, f_id), (a_ood, f_ood) = predictive_samples_pair(mc, test_id, test_ood, 5, 3)
     assert a_id.num_passes == 5 and a_ood.num_passes == 5
-    b_id, b_ood = predictive_samples_pair(mc, test_id, test_ood, 5, 3)
+    assert f_id is None and f_ood is None
+    (b_id, _), (b_ood, _) = predictive_samples_pair(mc, test_id, test_ood, 5, 3)
     np.testing.assert_array_equal(a_id.probs, b_id.probs)
     np.testing.assert_array_equal(a_ood.probs, b_ood.probs)
     # a dropout model with a single pass stays deterministic
-    one_id, _ = predictive_samples_pair(mc, test_id, test_ood, 1, 3)
-    assert one_id.num_passes == 1
+    (one_id, features), _ = predictive_samples_pair(mc, test_id, test_ood, 1, 3)
+    assert one_id.num_passes == 1 and features is not None
 
 
 _seeds = st.integers(0, 2**63 - 1)
@@ -423,12 +432,14 @@ def test_predictive_path_without_mc_is_one_eval_pass(
 ):
     assume(dropout_rate == 0.0 or passes == 1)
     model = init_mlp([2, width, 3], dropout_rate, seed=seed)
-    splits = (tiny_benchmark["test_id"], tiny_benchmark["test_ood"])
-    pair = predictive_samples_pair(model, *splits, passes, mc_seed)
-    for samples, split in zip(pair, splits):
+    for split in (tiny_benchmark["test_id"], tiny_benchmark["test_ood"]):
+        samples, trace = predictive_samples(model, split.features, passes, mc_seed)
         assert samples.num_passes == 1
-        logits, _ = forward(model, split.features, mode="eval")
+        logits, expected = forward(model, split.features, mode="eval")
         np.testing.assert_array_equal(samples.probs[0], softmax(logits))
+        np.testing.assert_array_equal(
+            trace.penultimate_features, expected.penultimate_features
+        )
 
 
 @settings(max_examples=30, deadline=None)
@@ -441,15 +452,17 @@ def test_predictive_path_with_mc_repeats_for_a_seed(
     splits = (tiny_benchmark["test_id"], tiny_benchmark["test_ood"])
     first = predictive_samples_pair(model, *splits, passes, mc_seed)
     again = predictive_samples_pair(model, *splits, passes, mc_seed)
-    for a, b in zip(first, again):
-        assert a.num_passes == passes
+    for (a, features), (b, _) in zip(first, again):
+        assert a.num_passes == passes and features is None
         np.testing.assert_array_equal(a.probs, b.probs)
-    # the OOD split draws from its own stream
-    np.testing.assert_array_equal(
-        first[1].probs,
-        mc_dropout_predict(model, splits[1].features, passes,
-                           derive_seed(mc_seed, 1)).probs,
-    )
+    # the ID split draws from mc_seed, the OOD split from its own stream
+    for (samples, _), split, split_seed in zip(
+        first, splits, (mc_seed, derive_seed(mc_seed, 1))
+    ):
+        np.testing.assert_array_equal(
+            samples.probs,
+            predictive_samples(model, split.features, passes, split_seed)[0].probs,
+        )
 
 
 @settings(max_examples=40, deadline=None)
@@ -459,11 +472,8 @@ def test_predictive_path_mutual_information_is_nonnegative(
     tiny_benchmark, seed, mc_seed, width, dropout_rate, passes
 ):
     model = init_mlp([2, width, 3], dropout_rate, seed=seed)
-    pair = predictive_samples_pair(
-        model, tiny_benchmark["test_id"], tiny_benchmark["test_ood"],
-        passes, mc_seed,
-    )
-    for samples in pair:
+    for split in (tiny_benchmark["test_id"], tiny_benchmark["test_ood"]):
+        samples, _ = predictive_samples(model, split.features, passes, mc_seed)
         assert mutual_information_score(samples).min() >= -1e-12
 
 
