@@ -33,7 +33,7 @@ from .metrics import (
     mce,
 )
 from .nn import MlpModel, ModelFileError, load_model, one_blas_thread, save_model
-from .scores import write_score_dump
+from .scores import SOFTMAX_SCORES, write_score_dump
 from .seeding import STREAM_INIT, derive_seed
 from .trainer import (
     TrainConfig,
@@ -56,7 +56,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
-SOFTMAX_SCORE_KINDS = ("confidence", "entropy", "mutual_information")
 
 class ConfigError(Exception):
     pass
@@ -70,7 +69,7 @@ def _reject_constant(token: str):
     raise ValueError(f"{token} is not a JSON number")
 
 
-def _load_json(path, what: str) -> dict:
+def _load_json(path, what: str, version_key: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
@@ -80,18 +79,16 @@ def _load_json(path, what: str) -> dict:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} {path} must be a JSON object")
+    if doc.get(version_key) != CONFIG_VERSION:
+        raise ConfigError(
+            f"{version_key} must be {CONFIG_VERSION}, got {doc.get(version_key)!r}"
+        )
     return doc
 
 
 def load_config(path) -> dict:
-    doc = _load_json(path, "config file")
-    version = doc.get("config_version")
-    if version != CONFIG_VERSION:
-        raise ConfigError(
-            f"config_version must be {CONFIG_VERSION}, got {version!r}"
-        )
-    known = {"config_version", "data", "train", "eval"}
-    unknown = set(doc) - known
+    doc = _load_json(path, "config file", "config_version")
+    unknown = set(doc) - {"config_version", "data", "train", "eval"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     return doc
@@ -145,8 +142,8 @@ def build_manifest(
     out_dir: Path,
     outputs: list[str],
 ) -> dict:
-    """Hash the named output files. No timestamp; callers add one only
-    when writing the standalone manifest.json."""
+    """Hash the named output files. No timestamp; write_manifest_file
+    adds one to the standalone manifest.json only."""
     entries = {}
     for name in sorted(outputs):
         p = out_dir / name
@@ -161,8 +158,9 @@ def build_manifest(
     }
 
 
-def write_manifest_file(manifest: dict, out_dir: Path) -> None:
-    doc = dict(manifest)
+def write_manifest_file(command: str, config: dict, seeds: dict[str, int],
+                        out_dir: Path, outputs: list[str]) -> None:
+    doc = build_manifest(command, config, seeds, out_dir, outputs)
     doc["created_utc"] = datetime.now(timezone.utc).isoformat()
     _dump_json(doc, out_dir / "manifest.json")
 
@@ -175,9 +173,7 @@ def write_results(
     as its last key, then manifest.json, which also covers `name`."""
     results["manifest"] = build_manifest(command, config, seeds, out_dir, outputs)
     _dump_json(results, out_dir / name)
-    write_manifest_file(
-        build_manifest(command, config, seeds, out_dir, [*outputs, name]), out_dir
-    )
+    write_manifest_file(command, config, seeds, out_dir, [*outputs, name])
 
 
 def _load_benchmark_dir(data_dir: Path, roles: tuple[str, ...]) -> dict:
@@ -223,10 +219,10 @@ def _resolve_out(arg_out: str | None, command: str) -> Path:
 
 def _parse_scores(arg: str) -> tuple[str, ...]:
     kinds = tuple(k.strip() for k in arg.split(",") if k.strip())
-    unknown = [k for k in kinds if k not in SOFTMAX_SCORE_KINDS]
+    unknown = [k for k in kinds if k not in SOFTMAX_SCORES]
     if unknown:
         raise ConfigError(
-            f"unknown score kinds {unknown}; choose from {SOFTMAX_SCORE_KINDS}"
+            f"unknown score kinds {unknown}; choose from {tuple(SOFTMAX_SCORES)}"
         )
     if not kinds:
         raise ConfigError("--scores must select at least one kind")
@@ -238,7 +234,7 @@ def _parse_scores(arg: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args, out_dir: Path) -> int:
     doc = load_config(args.config)
     section = {**DATA_KEYS, **_section(doc, "data", DATA_KEYS)}
     if args.seed is not None:
@@ -247,23 +243,20 @@ def cmd_gen_data(args) -> int:
         benchmark = make_default_benchmark(**section)
     except ValueError as exc:
         raise ConfigError(f"invalid data config: {exc}") from exc
-    out_dir = _resolve_out(args.out, "gen-data")
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for role, split in benchmark.items():
         name = f"{role}.csv"
         write_split(split, out_dir / name)
         outputs.append(name)
-    manifest = build_manifest(
-        "gen-data", section, {"data": section["seed"]}, out_dir, outputs
-    )
-    write_manifest_file(manifest, out_dir)
+    write_manifest_file("gen-data", section, {"data": section["seed"]}, out_dir,
+                        outputs)
     for name in sorted(outputs):
         print(f"wrote {out_dir / name}")
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, out_dir: Path) -> int:
     doc = load_config(args.config)
     config = train_config_from(doc, seed_override=args.seed)
     data_dir = Path(args.data)
@@ -275,18 +268,16 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
-    out_dir = _resolve_out(args.out, "train")
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(trained, out_dir / "model.json")
     _dump_json(history.to_dict(), out_dir / "history.json")
-    manifest = build_manifest(
+    write_manifest_file(
         "train",
         dataclasses.asdict(config),
         {"train": config.seed, "init": derive_seed(config.seed, STREAM_INIT)},
         out_dir,
         ["model.json", "history.json"],
     )
-    write_manifest_file(manifest, out_dir)
     best = history.records[history.best_epoch - 1]
     print(
         f"trained {config.objective} for {config.epochs} epochs; "
@@ -298,7 +289,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, out_dir: Path) -> int:
     for flag, value, least in (
         ("--mc-passes", args.mc_passes, 1),
         ("--histogram-bins", args.histogram_bins, 1),
@@ -307,7 +298,6 @@ def cmd_eval(args) -> int:
         if value < least:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
     score_kinds = _parse_scores(args.scores)
-    out_dir = _resolve_out(args.out, "eval")
     model = _load_model(args.model)
     data_dir = Path(args.data)
     roles = ("test_id", "test_ood") + (("train",) if args.mahalanobis else ())
@@ -377,7 +367,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_corrupt_eval(args) -> int:
+def cmd_corrupt_eval(args, out_dir: Path) -> int:
     model = _load_model(args.model)
     data_dir = Path(args.data)
     benchmark = _load_benchmark_dir(data_dir, ("test_id",))
@@ -396,7 +386,6 @@ def cmd_corrupt_eval(args) -> int:
         kind: {str(sev): round(err, 2) for sev, err in row.items()}
         for kind, row in table.items()
     }
-    out_dir = _resolve_out(args.out, "corrupt-eval")
     out_dir.mkdir(parents=True, exist_ok=True)
     results = {
         "clean_error": clean_error,
@@ -413,16 +402,10 @@ def cmd_corrupt_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, out_dir: Path) -> int:
     doc = load_config(args.config)
     base_config = train_config_from(doc, seed_override=args.seed)
-    grid_doc = _load_json(args.grid, "grid file")
-    if grid_doc.get("grid_version") != CONFIG_VERSION:
-        raise ConfigError(
-            f"grid_version must be {CONFIG_VERSION}, "
-            f"got {grid_doc.get('grid_version')!r}"
-        )
-    grid = grid_doc.get("grid")
+    grid = _load_json(args.grid, "grid file", "grid_version").get("grid")
     if not isinstance(grid, list) or not all(isinstance(g, dict) for g in grid):
         raise ConfigError("grid file must contain a 'grid' list of objects")
 
@@ -437,7 +420,6 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    out_dir = _resolve_out(args.out, "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(best_model, out_dir / "model.json")
     # the validation metrics are the rows' only floats
@@ -448,14 +430,13 @@ def cmd_sweep(args) -> int:
     ]}
     _dump_json(leaderboard, out_dir / "leaderboard.json")
     _dump_json(dataclasses.asdict(best_config), out_dir / "best_config.json")
-    manifest = build_manifest(
+    write_manifest_file(
         "sweep",
         dataclasses.asdict(base_config),
         {"train": base_config.seed},
         out_dir,
         ["model.json", "leaderboard.json", "best_config.json"],
     )
-    write_manifest_file(manifest, out_dir)
     winner = next(r for r in rows if r.selected)
     print(
         f"swept {len(rows)} points; selected overrides {winner.overrides} "
@@ -496,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mahalanobis", action="store_true")
     p.add_argument(
         "--scores",
-        default=",".join(SOFTMAX_SCORE_KINDS),
+        default=",".join(SOFTMAX_SCORES),
         help="comma-separated score kinds to export as CSV dumps",
     )
     p.add_argument("--grid-resolution", type=int, default=200)
@@ -531,8 +512,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with one_blas_thread():
-            return args.func(args)
+        # numpy warnings are silenced; explicit checks report every blow-up
+        with one_blas_thread(), np.errstate(all="ignore"):
+            return args.func(args, _resolve_out(args.out, args.command))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

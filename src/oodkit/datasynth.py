@@ -237,10 +237,11 @@ def corrupt(split: DatasetSplit, spec: CorruptionSpec, seed: int) -> DatasetSpli
     elif spec.kind == "uniform_noise":
         x = x + rng.uniform(-0.15 * sev, 0.15 * sev, size=x.shape)
     elif spec.kind == "translate":
+        # theta is drawn for every dimension, so the stream stays fixed
         theta = rng.uniform(0.0, 2.0 * np.pi)
-        direction = np.zeros(x.shape[1])
-        direction[:2] = (np.cos(theta), np.sin(theta))
-        if x.shape[1] != 2:
+        if x.shape[1] == 2:
+            direction = np.array([np.cos(theta), np.sin(theta)])
+        else:
             vec = rng.normal(size=x.shape[1])
             direction = vec / np.linalg.norm(vec)
         x = x + 0.2 * sev * direction

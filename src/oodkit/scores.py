@@ -1,8 +1,7 @@
 """Detection scores: softmax statistics, MC-dropout, Mahalanobis.
 
-Score orientation is not normalised here; confidence and Mahalanobis
-run higher on in-distribution points, entropy and mutual information
-higher on outliers. The AUC helper takes the orientation explicitly.
+Score orientation is not normalised here; SCORE_ORIENTATION says which
+way each kind runs, and the AUC helper takes it explicitly.
 """
 
 from __future__ import annotations
@@ -15,7 +14,14 @@ import numpy as np
 from .nn import ForwardTrace, MlpModel, forward, mc_dropout_probs, softmax
 from .seeding import STREAM_MC, derive_seed
 
-SCORE_KINDS = ("confidence", "entropy", "mutual_information", "mahalanobis")
+# kind -> the population it scores higher, in report order
+SCORE_ORIENTATION = {
+    "confidence": "higher_id",
+    "entropy": "higher_ood",
+    "mutual_information": "higher_ood",
+    "mahalanobis": "higher_id",
+}
+SCORE_KINDS = tuple(SCORE_ORIENTATION)
 
 
 @dataclass
@@ -30,10 +36,11 @@ class PredictiveSamples:
             raise ValueError(f"probs must be (T, N, k), got {self.probs.shape}")
         if self.probs.shape[0] < 1:
             raise ValueError("need at least one pass")
-        if np.any(self.probs < 0):
-            raise ValueError("negative probabilities")
+        # written so that NaN fails both checks
+        if not np.all(self.probs >= 0):
+            raise ValueError("negative or NaN probabilities")
         sums = self.probs.sum(axis=2)
-        if np.max(np.abs(sums - 1.0)) > 1e-10:
+        if not np.max(np.abs(sums - 1.0)) <= 1e-10:
             raise ValueError("probability rows must sum to 1 within 1e-10")
 
     @property
@@ -103,6 +110,14 @@ def mutual_information_score(samples: PredictiveSamples) -> np.ndarray:
     total = _entropy_rows(samples.mean_probs())
     per_pass = _entropy_rows(samples.probs).mean(axis=0)
     return total - per_pass
+
+
+# the kinds scored from predictive samples, in report order
+SOFTMAX_SCORES = {
+    "confidence": confidence_score,
+    "entropy": entropy_score,
+    "mutual_information": mutual_information_score,
+}
 
 
 @dataclass

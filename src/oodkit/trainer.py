@@ -35,12 +35,12 @@ from .nn import (
 )
 from .objectives import ObjectiveParams, require_finite
 from .scores import (
+    SCORE_ORIENTATION,
+    SOFTMAX_SCORES,
     PredictiveSamples,
-    confidence_score,
     entropy_score,
     fit_mahalanobis,
     mahalanobis_score,
-    mutual_information_score,
     penultimate_features,
     predictive_samples,
 )
@@ -242,6 +242,12 @@ def init_model(config: TrainConfig, input_dim: int) -> MlpModel:
     )
 
 
+def _require_splits(benchmark: dict[str, DatasetSplit], *roles: str) -> None:
+    for role in roles:
+        if role not in benchmark:
+            raise ValueError(f"benchmark is missing the {role!r} split")
+
+
 # Pass count for per-epoch validation of dropout models. Fixed rather
 # than tied to the eval-time mc_passes so checkpoint selection does not
 # change when someone re-scores an existing model with a different T.
@@ -258,7 +264,7 @@ def _validation_metrics(
     )
     val_acc = accuracy(s_val.mean_probs().argmax(axis=1), val.labels)
     ent_auc = 100.0 * auc_roc(
-        entropy_score(s_val), entropy_score(s_ood), "higher_ood"
+        entropy_score(s_val), entropy_score(s_ood), SCORE_ORIENTATION["entropy"]
     )
     return val_acc, ent_auc
 
@@ -283,15 +289,11 @@ def train(
     "val_ood" when present, else against "train_ood" (the held-out
     test_ood split is never touched here).
     """
-    for key in ("train", "val"):
-        if key not in benchmark:
-            raise ValueError(f"benchmark is missing the {key!r} split")
+    _require_splits(benchmark, "train", "val")
     train_split = benchmark["train"]
     val_split = benchmark["val"]
-    if config.needs_ood() and "train_ood" not in benchmark:
-        raise ValueError(
-            f"objective {config.objective!r} requires a train_ood split"
-        )
+    if config.needs_ood():
+        _require_splits(benchmark, "train_ood")
     val_ood = benchmark.get("val_ood") or benchmark.get("train_ood")
     if val_ood is None:
         raise ValueError("benchmark needs train_ood or val_ood for validation")
@@ -588,14 +590,7 @@ def score_populations(
     (s_id, features_id), (s_ood, features_ood) = predictive_samples_pair(
         model, test_id, test_ood, mc_passes, derive_seed(seed, STREAM_MC)
     )
-    pops = {
-        "confidence": (confidence_score(s_id), confidence_score(s_ood)),
-        "entropy": (entropy_score(s_id), entropy_score(s_ood)),
-        "mutual_information": (
-            mutual_information_score(s_id),
-            mutual_information_score(s_ood),
-        ),
-    }
+    pops = {kind: (score(s_id), score(s_ood)) for kind, score in SOFTMAX_SCORES.items()}
     if train_split is not None:
         detector = fit_mahalanobis(
             penultimate_features(model, train_split.features), train_split.labels
@@ -606,14 +601,6 @@ def score_populations(
             for split, features in ((test_id, features_id), (test_ood, features_ood))
         )
     return pops, s_id
-
-
-_ORIENTATION = {
-    "confidence": "higher_id",
-    "entropy": "higher_ood",
-    "mutual_information": "higher_ood",
-    "mahalanobis": "higher_id",
-}
 
 
 def eval_report(
@@ -638,7 +625,7 @@ def eval_report(
     return EvalReport(
         id_accuracy=accuracy(id_samples.mean_probs().argmax(axis=1), test_id.labels),
         auc={
-            kind: 100.0 * auc_roc(s_id, s_ood, _ORIENTATION[kind])
+            kind: 100.0 * auc_roc(s_id, s_ood, SCORE_ORIENTATION[kind])
             for kind, (s_id, s_ood) in populations.items()
         },
         mce=mce_value,
@@ -662,11 +649,8 @@ def evaluate_model(
     identically zero and its AUC degenerates to 50.00 (flagged in
     warnings).
     """
-    for key in ("test_id", "test_ood"):
-        if key not in benchmark:
-            raise ValueError(f"benchmark is missing the {key!r} split")
-    if with_mahalanobis and "train" not in benchmark:
-        raise ValueError("mahalanobis evaluation needs the train split")
+    roles = ("test_id", "test_ood") + (("train",) if with_mahalanobis else ())
+    _require_splits(benchmark, *roles)
     test_id = benchmark["test_id"]
     pops, id_samples = score_populations(
         model,
@@ -690,9 +674,7 @@ def run_experiment(
     with_corruptions: bool = False,
 ) -> tuple[MlpModel, TrainHistory, EvalReport]:
     """Init, train, and evaluate in one deterministic call."""
-    for key in ("train", "val", "test_id", "test_ood"):
-        if key not in benchmark:
-            raise ValueError(f"benchmark is missing the {key!r} split")
+    _require_splits(benchmark, "train", "val", "test_id", "test_ood")
     model = init_model(config, benchmark["train"].features.shape[1])
     trained, history = train(config, benchmark, model)
     report = evaluate_model(

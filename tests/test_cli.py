@@ -327,12 +327,39 @@ def test_seed_flag_overrides_config(pipeline, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_missing_out_dir_and_env(pipeline, monkeypatch, capsys):
+INPUT_FLAGS = {
+    "gen-data": ["--config"],
+    "train": ["--config", "--data"],
+    "eval": ["--model", "--data"],
+    "corrupt-eval": ["--model", "--data"],
+    "sweep": ["--config", "--grid", "--data"],
+}
+
+
+@pytest.mark.parametrize("command", INPUT_FLAGS)
+def test_missing_out_dir_and_env(pipeline, tmp_path, monkeypatch, capsys, command):
     monkeypatch.delenv(OUT_ROOT_ENV, raising=False)
-    code = main(["gen-data", "--config", str(pipeline["config"])])
-    assert code == 2
+    called = []
+    for name in ("make_default_benchmark", "train", "sweep", "corruption_error_table",
+                 "score_populations", "read_split", "load_model"):
+        original = getattr(oodkit.cli, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            called.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(oodkit.cli, name, spy)
+    grid = tmp_path / "grid.json"
+    write_json(grid, {"grid_version": 1, "grid": [{"lam": 0.5}]})
+    paths = {"--config": pipeline["config"], "--data": pipeline["data"],
+             "--model": pipeline["model"], "--grid": grid}
+    argv = [command] + [arg for flag in INPUT_FLAGS[command]
+                         for arg in (flag, str(paths[flag]))]
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and OUT_ROOT_ENV in err
+    assert err.startswith("config error: no output directory") and OUT_ROOT_ENV in err
+    # the missing --out is reported before any data is read or computed
+    assert called == []
 
 
 def test_invalid_json_config(tmp_path, capsys):
@@ -433,6 +460,27 @@ def test_divergence_prints_only_its_report(pipeline, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("training diverged: ")
     assert not (tmp_path / "run").exists()
+
+
+def test_overflowing_model_prints_only_its_error_line(pipeline, tmp_path):
+    # logits of about 1e310 overflow the matmul; numpy must not print a
+    # RuntimeWarning before the error line
+    model = init_mlp([2, 8, 3], seed=0)
+    for w in model.weights:
+        w *= 1e155
+    save_model(model, tmp_path / "big.json")
+    out = tmp_path / "eval"
+    src = os.path.dirname(os.path.dirname(oodkit.trainer.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oodkit.cli", "eval", "--model",
+         str(tmp_path / "big.json"), "--data", str(pipeline["data"]),
+         "--out", str(out), "--grid-resolution", "24"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:")
+    assert not out.exists()
 
 
 def test_sweep_trains_each_grid_point_once(pipeline, tmp_path, monkeypatch):

@@ -1,7 +1,12 @@
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oodkit.datasynth import (
     CORRUPTION_KINDS,
@@ -220,6 +225,31 @@ def test_corrupt_translate_is_a_rigid_shift():
     assert np.linalg.norm(deltas[0]) == pytest.approx(0.4, abs=1e-12)
 
 
+@pytest.mark.parametrize("sev", [1, 3])
+def test_corrupt_translate_on_1d_shifts_every_row_alike(sev):
+    rng = np.random.default_rng(8)
+    split = DatasetSplit(rng.normal(size=(30, 1)), np.arange(30) % 3, "test_id")
+    deltas = corrupt(split, CorruptionSpec("translate", sev), seed=4).features \
+        - split.features
+    np.testing.assert_allclose(np.abs(deltas), 0.2 * sev, atol=1e-12)
+    assert np.all(np.sign(deltas) == np.sign(deltas[0, 0]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_corrupt_translate_replays_its_draws(dim):
+    rng = np.random.default_rng(9)
+    split = DatasetSplit(rng.normal(size=(25, dim)), np.arange(25) % 3, "test_id")
+    out = corrupt(split, CorruptionSpec("translate", 2), seed=11)
+    replay = np.random.default_rng(11)
+    theta = replay.uniform(0.0, 2.0 * np.pi)
+    if dim == 2:
+        direction = np.array([np.cos(theta), np.sin(theta)])
+    else:
+        vec = replay.normal(size=dim)
+        direction = vec / np.linalg.norm(vec)
+    np.testing.assert_array_equal(out.features, split.features + 0.2 * 2 * direction)
+
+
 def test_corrupt_gaussian_noise_statistics():
     split = id_split(10_000, seed=2)
     out = corrupt(split, CorruptionSpec("gaussian_noise", 3), seed=7)
@@ -282,6 +312,36 @@ def test_write_read_round_trip_ood(tmp_path):
     np.testing.assert_array_equal(loaded.features, split.features)
     assert loaded.labels is None
     assert loaded.role == "test_ood"
+
+
+# every finite double, -0.0 and subnormals included
+_doubles = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _splits(draw):
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 4)))
+    features = draw(hnp.arrays(np.float64, shape, elements=_doubles))
+    if draw(st.booleans()):
+        labels = draw(hnp.arrays(np.int64, shape[0]))
+        return DatasetSplit(features, labels, "test_id")
+    return DatasetSplit(features, None, "test_ood")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_splits())
+def test_write_read_round_trip_is_bit_exact(split):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "split.csv"
+        write_split(split, path)
+        loaded = read_split(path, role=split.role)
+    assert loaded.features.shape == split.features.shape
+    # tobytes tells -0.0 from 0.0, which assert_array_equal does not
+    assert loaded.features.tobytes() == split.features.tobytes()
+    if split.labels is None:
+        assert loaded.labels is None
+    else:
+        assert loaded.labels.tobytes() == split.labels.astype(np.int64).tobytes()
 
 
 def test_read_split_default_role_labelled(tmp_path):

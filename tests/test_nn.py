@@ -3,9 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oodkit.nn as nn_mod
 from oodkit.nn import (
@@ -335,6 +340,33 @@ def test_optimizer_state_validation():
 # ---------------------------------------------------------------------------
 # save / load
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def _models(draw):
+    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    # every finite double, -0.0 and subnormals included
+    doubles = st.floats(allow_nan=False, allow_infinity=False)
+    weights = [draw(hnp.arrays(np.float64, (dims[l + 1], dims[l]), elements=doubles))
+               for l in range(len(dims) - 1)]
+    biases = [draw(hnp.arrays(np.float64, d, elements=doubles)) for d in dims[1:]]
+    rate = draw(st.floats(0.0, 1.0, exclude_max=True))
+    return MlpModel(dims, weights, biases, rate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_models())
+def test_save_load_round_trip_is_bit_exact(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+    assert loaded.layer_dims == model.layer_dims
+    # tobytes tells -0.0 from 0.0, which assert_array_equal does not
+    for a, b in zip(model.weights + model.biases, loaded.weights + loaded.biases):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (np.float64(loaded.dropout_rate).tobytes()
+            == np.float64(model.dropout_rate).tobytes())
 
 
 def test_save_load_round_trip(tmp_path):

@@ -48,6 +48,14 @@ def test_samples_validation():
     bad = np.array([[[1.2, -0.2]]])
     with pytest.raises(ValueError):
         PredictiveSamples(bad)
+    one_nan = np.full((2, 4, 3), 1.0 / 3.0)
+    one_nan[1, 2, 0] = np.nan
+    with_inf = np.full((1, 2, 3), 0.0)
+    with_inf[0, :, 0] = 1.0
+    with_inf[0, 1, 2] = np.inf
+    for probs in (np.full((1, 2, 3), np.nan), one_nan, with_inf):
+        with pytest.raises(ValueError):
+            PredictiveSamples(probs)
 
 
 def test_deterministic_samples_match_predict_probs():
