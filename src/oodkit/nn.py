@@ -8,9 +8,12 @@ produced them.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,6 +246,26 @@ def forward(
     return pre[-1], trace
 
 
+# set in pool workers by one_thread_per_process()
+_ONE_PASS_THREAD = False
+
+
+def pass_threads() -> int:
+    """Threads one mc_dropout_probs call may run its passes on: one per
+    CPU this process may run on, or 1 after one_thread_per_process()."""
+    return 1 if _ONE_PASS_THREAD else len(os.sched_getaffinity(0))
+
+
+def one_thread_per_process() -> None:
+    """Run this process's BLAS and MC passes on one thread each, for good.
+
+    The initializer of pool workers that share the CPUs among themselves.
+    """
+    global _ONE_PASS_THREAD
+    set_blas_threads(1)
+    _ONE_PASS_THREAD = True
+
+
 def mc_dropout_probs(model: MlpModel, inputs, seeds) -> np.ndarray:
     """Softmax outputs of one dropout pass per seed, shape (T, N, k).
 
@@ -251,49 +274,113 @@ def mc_dropout_probs(model: MlpModel, inputs, seeds) -> np.ndarray:
     same float operations, only into buffers allocated once per call.
     Layer 0's pre-activation and ReLU precede every mask, so they are
     computed once.
+
+    The passes run on up to pass_threads() threads, the calling thread
+    among them, and every other thread is joined before the call
+    returns. Each pass owns its generator and its logits[t], so the
+    result does not depend on the thread count or on which thread ran
+    which pass.
     """
     x = _as_batch(inputs, model.input_dim)
     weights, biases = model.weights, model.biases
     last = len(weights) - 1
-    dropout_active = model.dropout_rate > 0.0 and last > 0
-    keep = 1.0 - model.dropout_rate
-    scale = 1.0 / keep
     h0 = x @ weights[0].T + biases[0]
     if last > 0:
         np.maximum(h0, 0.0, out=h0)
-    # layers 1..last, each with a buffer for its masked input and one for
-    # its pre-activation
-    layers = [
-        (w, b, np.empty((len(x), w.shape[1])), np.empty((len(x), w.shape[0])))
-        for w, b in zip(weights[1:], biases[1:])
+    logits = np.empty((len(seeds), len(x), model.num_classes))
+    if last == 0:
+        logits[:] = h0
+    else:
+        _run_passes(h0, weights, biases, model.dropout_rate, seeds, logits)
+    _softmax_rows_in_place(_as_batch(logits.reshape(-1, model.num_classes)))
+    return logits
+
+
+def _run_passes(h0, weights, biases, dropout_rate, seeds, logits) -> None:
+    """Fill logits[t] with pass t's logits from layer 1 on, given layer 0's
+    post-ReLU output h0, on up to pass_threads() threads."""
+    last = len(weights) - 1
+    dropout_active = dropout_rate > 0.0
+    keep = 1.0 - dropout_rate
+    scale = 1.0 / keep
+    rows = len(h0)
+    threads = max(1, min(pass_threads(), len(seeds)))
+    # Every thread gets, for layers 1..last, a buffer for the masked input
+    # and, below the last layer, one for the pre-activation; the last
+    # layer writes into logits[t]. All are allocated on this thread
+    # (per-thread malloc arenas would raise peak memory).
+    buffers = [
+        [
+            (w, b, np.empty((rows, w.shape[1])),
+             np.empty((rows, w.shape[0])) if l < last else None)
+            for l, (w, b) in enumerate(zip(weights[1:], biases[1:]), start=1)
+        ]
+        for _ in range(threads)
     ]
-    probs = np.empty((len(seeds), len(x), model.num_classes))
-    for t, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed) if dropout_active else None
-        a = h0
-        for l, (w, b, masked, z) in enumerate(layers, start=1):
-            if dropout_active:
-                # h * (r < keep) * (1/keep) equals forward's
-                # h * ((r < keep) / keep): the mask is exactly 0 or 1/keep
-                rng.random(out=masked)
-                np.less(masked, keep, out=masked)
-                a = np.multiply(a, masked, out=masked)
-                a *= scale
-            np.matmul(a, w.T, out=z)
-            z += b
-            if l < last:
-                np.maximum(z, 0.0, out=z)
-            a = z
-        probs[t] = softmax(a)
-    return probs
+    # Threads take passes one at a time, so one thread the OS holds back
+    # delays the call by one pass, not by a fixed share of them. A deque's
+    # popleft is atomic.
+    todo = collections.deque(range(len(seeds)))
+    # numpy's floating-point error state is per thread
+    errstate = np.geterr()
+
+    def run(layers):
+        # numpy calls only: bench/spans.py times nn.softmax and derive_seed
+        # on one open-span stack, which no other thread may touch
+        with np.errstate(**errstate):
+            while True:
+                try:
+                    t = todo.popleft()
+                except IndexError:
+                    return
+                rng = np.random.default_rng(seeds[t]) if dropout_active else None
+                a = h0
+                for w, b, masked, z in layers:
+                    if dropout_active:
+                        # h * (r < keep) * (1/keep) equals forward's
+                        # h * ((r < keep) / keep): the mask is exactly 0
+                        # or 1/keep
+                        rng.random(out=masked)
+                        np.less(masked, keep, out=masked)
+                        a = np.multiply(a, masked, out=masked)
+                        a *= scale
+                    out = logits[t] if z is None else z
+                    np.matmul(a, w.T, out=out)
+                    out += b
+                    if z is not None:
+                        np.maximum(out, 0.0, out=out)
+                    a = out
+
+    if threads == 1:
+        run(buffers[0])
+        return
+    # BLAS threads under every pass thread would oversubscribe the CPUs
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        futures = [pool.submit(run, layers) for layers in buffers[1:]]
+        run(buffers[0])
+        for future in futures:
+            future.result()
 
 
 def softmax(logits) -> np.ndarray:
     """Row-wise softmax with max subtraction."""
-    z = _as_batch(logits)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    z = _as_batch(logits).copy()
+    _softmax_rows_in_place(z)
+    return z
+
+
+def _softmax_rows_in_place(z: np.ndarray) -> None:
+    # The row max is taken one column at a time: a max is exact in any
+    # order, and where a tie of 0.0 and -0.0 picks the other zero, z - m
+    # changes only the sign of a zero, which exp maps to 1 either way.
+    # The sum keeps numpy's row reduction, whose order changes the bits
+    # from 8 columns on.
+    m = z[:, 0].copy()
+    for j in range(1, z.shape[1]):
+        np.maximum(m, z[:, j], out=m)
+    z -= m[:, None]
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
 
 
 def backward(model: MlpModel, trace: ForwardTrace, d_logits) -> Gradients:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,7 @@ from .nn import (
     forward,
     init_mlp,
     one_blas_thread,
-    set_blas_threads,
+    one_thread_per_process,
     sgd_step,
 )
 from .objectives import ObjectiveParams, require_finite
@@ -476,9 +475,10 @@ def sweep(
     re-trained standalone and reproduce its leaderboard row and model
     exactly.
 
-    workers > 1 trains grid points in a process pool of one-BLAS-thread
-    workers; results are merged by grid index, so the leaderboard is
-    independent of scheduling.
+    workers > 1 trains grid points in a process pool of at most one
+    worker per point, each on one BLAS and one MC pass thread; results
+    are merged by grid index, so the leaderboard is independent of
+    scheduling.
     """
     if not grid:
         raise ValueError("grid must contain at least one point")
@@ -496,9 +496,14 @@ def sweep(
         configs.append(cfg)
 
     task = functools.partial(_sweep_task, benchmark=benchmark)
+    # the fork start method launches every worker at the first submit
+    workers = min(workers, len(configs))
     if workers > 1:
+        # imported here: `import oodkit` then loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=set_blas_threads, initargs=(1,)
+            max_workers=workers, initializer=one_thread_per_process
         ) as pool:
             outcomes = list(pool.map(task, configs))
     else:

@@ -4,6 +4,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,10 @@ from oodkit.nn import (
     forward,
     init_mlp,
     load_model,
+    mc_dropout_probs,
     one_blas_thread,
+    one_thread_per_process,
+    pass_threads,
     save_model,
     set_blas_threads,
     sgd_step,
@@ -196,6 +202,31 @@ def test_softmax_shift_invariance():
     z = rng.normal(size=(20, 4))
     shifted = z + rng.normal(size=(20, 1))
     assert np.abs(softmax(z) - softmax(shifted)).max() <= 1e-12
+
+
+def reference_softmax(z: np.ndarray) -> np.ndarray:
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 2000),
+    k=st.integers(2, 20),
+    log_scale=st.integers(-3, 299),
+    tie_share=st.sampled_from([0.0, 0.3, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_softmax_bytes_equal_the_reference_formula(rows, k, log_scale, tie_share, seed):
+    # the column-wise row max must leave every output bit as it was
+    rng = np.random.default_rng(seed)
+    z = np.clip(rng.normal(scale=10.0**log_scale, size=(rows, k)), -1e300, 1e300)
+    pool = np.concatenate([[0.0, -0.0, 1e300, -1e300], rng.choice(z.ravel(), 3)])
+    ties = rng.random(z.shape) < tie_share
+    z[ties] = rng.choice(pool, size=int(ties.sum()))
+    assert softmax(z).tobytes() == reference_softmax(z).tobytes()
+    assert softmax(z.T.copy().T).tobytes() == reference_softmax(z).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -479,3 +510,121 @@ def test_import_leaves_the_blas_thread_count_alone():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out[0] == out[1]
+
+
+def test_import_loads_no_multiprocessing():
+    code = "import sys, oodkit, oodkit.cli\nprint('multiprocessing' in sys.modules)\n"
+    src = os.path.dirname(os.path.dirname(nn_mod.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
+
+
+# ---------------------------------------------------------------------------
+# MC-dropout pass threads
+# ---------------------------------------------------------------------------
+
+
+PASS_MODELS = {
+    "two hidden layers": init_mlp([2, 16, 8, 3], dropout_rate=0.3, seed=1),
+    "nine classes": init_mlp([2, 12, 9], dropout_rate=0.5, seed=2),
+    "dropout 0": init_mlp([2, 16, 8, 3], dropout_rate=0.0, seed=3),
+    "no hidden layer": init_mlp([2, 3], dropout_rate=0.3, seed=4),
+}
+
+
+@pytest.mark.parametrize("name", PASS_MODELS)
+def test_mc_passes_do_not_depend_on_the_thread_count(name, monkeypatch):
+    model = PASS_MODELS[name]
+    x = np.random.default_rng(5).normal(scale=3.0, size=(57, 2))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for passes in (1, 2, 3, 31):
+            seeds = [1000 + t for t in range(passes)]
+            expected = np.stack([
+                softmax(forward(model, x, "train", seed)[0]) for seed in seeds
+            ])
+            # 8 is more threads than this machine's cores
+            for threads in (1, 2, 8):
+                monkeypatch.setattr(nn_mod, "pass_threads", lambda: threads)
+                probs = mc_dropout_probs(model, x, seeds)
+                assert probs.tobytes() == expected.tobytes(), (passes, threads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_mc_passes_leave_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(nn_mod, "pass_threads", lambda: 4)
+    model = init_mlp([2, 8, 8, 3], dropout_rate=0.2, seed=0)
+    x = np.random.default_rng(0).normal(size=(20, 2))
+    before = threading.active_count()
+    mc_dropout_probs(model, x, list(range(9)))
+    assert threading.active_count() == before
+    # layer 0 stays finite, so the overflow happens inside the passes
+    model.weights[1] *= 1e300
+    model.weights[2] *= 1e300
+    # the workers run under the caller's numpy error state: no warning,
+    # only the finite check's error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            mc_dropout_probs(model, x, list(range(9)))
+    assert caught == []
+    assert threading.active_count() == before
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        mc_dropout_probs(model, x, list(range(9)))
+    assert threading.active_count() == before
+
+
+class WorkerFailingSeeds(list):
+    """Seeds that the calling thread reads slowly and no other thread can
+    read, so other threads take passes and fail on them."""
+
+    def __getitem__(self, t):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("pass failed on a worker thread")
+        time.sleep(0.001)
+        return super().__getitem__(t)
+
+
+def test_a_pass_failing_on_a_worker_thread_fails_the_call(monkeypatch):
+    monkeypatch.setattr(nn_mod, "pass_threads", lambda: 2)
+    model = init_mlp([2, 8, 8, 3], dropout_rate=0.2, seed=0)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker thread"):
+        mc_dropout_probs(model, np.ones((5, 2)), WorkerFailingSeeds(range(31)))
+    assert threading.active_count() == before
+
+
+def test_threaded_passes_pin_blas_for_the_call_only(monkeypatch):
+    before = blas_threads()
+    counts = []
+
+    def recording_set(count):
+        counts.append(count)
+        return set_blas_threads(count)
+
+    monkeypatch.setattr(nn_mod, "pass_threads", lambda: 2)
+    monkeypatch.setattr(nn_mod, "set_blas_threads", recording_set)
+    model = init_mlp([2, 8, 8, 3], dropout_rate=0.2, seed=0)
+    mc_dropout_probs(model, np.ones((5, 2)), list(range(4)))
+    assert counts == [1, before]
+    assert blas_threads() == before
+
+
+def test_pass_threads_is_one_per_available_cpu():
+    assert pass_threads() == len(os.sched_getaffinity(0))
+
+
+def test_worker_initializer_leaves_one_pass_thread(monkeypatch):
+    monkeypatch.setattr(nn_mod, "_ONE_PASS_THREAD", False)
+    before = set_blas_threads(2)
+    try:
+        one_thread_per_process()
+        assert pass_threads() == 1
+        if before is not None:
+            assert blas_threads() == 1
+    finally:
+        if before is not None:
+            set_blas_threads(before)

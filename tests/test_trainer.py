@@ -382,6 +382,50 @@ def test_sweep_parallel_matches_serial(tiny_benchmark):
         assert a.tobytes() == b.tobytes()
 
 
+class StandInPool:
+    """Records how a process pool was asked for and runs the tasks in
+    this process, starting no worker."""
+
+    made: list[dict] = []
+
+    def __init__(self, **kwargs):
+        StandInPool.made.append(kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, grid_size, pool_size", [
+    (500, 2, 2), (3, 4, 3), (2, 1, None), (1, 4, None),
+])
+def test_sweep_starts_at_most_one_worker_per_point(
+    workers, grid_size, pool_size, tiny_benchmark, monkeypatch
+):
+    import concurrent.futures
+
+    from oodkit.nn import one_thread_per_process
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandInPool)
+    monkeypatch.setattr(StandInPool, "made", [])
+    monkeypatch.setattr(trainer_mod, "_sweep_task", canned_task)
+    grid = [{"lam": float(i)} for i in range(grid_size)]
+    best, _, _ = sweep(TrainConfig(objective="ce_cosine"), grid, tiny_benchmark,
+                       workers=workers)
+    assert best.lam == (1.0 if grid_size > 1 else 0.0)
+    if pool_size is None:
+        assert StandInPool.made == []
+    else:
+        assert StandInPool.made == [
+            {"max_workers": pool_size, "initializer": one_thread_per_process}
+        ]
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
