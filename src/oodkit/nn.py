@@ -249,11 +249,32 @@ def forward(
 # set in pool workers by one_thread_per_process()
 _ONE_PASS_THREAD = False
 
+# The most pass threads measured (on a 2-vCPU host). Larger hosts use no
+# more until runs there show that the extra threads pay for themselves.
+MAX_PASS_THREADS = 2
 
-def pass_threads() -> int:
-    """Threads one mc_dropout_probs call may run its passes on: one per
-    CPU this process may run on, or 1 after one_thread_per_process()."""
-    return 1 if _ONE_PASS_THREAD else len(os.sched_getaffinity(0))
+# Activations one pass masks (rows times the hidden units it masks) below
+# which one thread beat two on a 2-vCPU host: every numpy call hands the
+# GIL over, and a small pass is mostly hand-offs.
+MIN_THREADED_PASS_SIZE = 32768
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has
+    one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def pass_threads(pass_size: int) -> int:
+    """Threads one mc_dropout_probs call may run passes of pass_size
+    masked activations on: one per available CPU, at most
+    MAX_PASS_THREADS, and 1 for passes below MIN_THREADED_PASS_SIZE or
+    after one_thread_per_process()."""
+    if _ONE_PASS_THREAD or pass_size < MIN_THREADED_PASS_SIZE:
+        return 1
+    return min(MAX_PASS_THREADS, available_cpus())
 
 
 def one_thread_per_process() -> None:
@@ -275,7 +296,7 @@ def mc_dropout_probs(model: MlpModel, inputs, seeds) -> np.ndarray:
     Layer 0's pre-activation and ReLU precede every mask, so they are
     computed once.
 
-    The passes run on up to pass_threads() threads, the calling thread
+    The passes run on up to pass_threads(...) threads, the calling thread
     among them, and every other thread is joined before the call
     returns. Each pass owns its generator and its logits[t], so the
     result does not depend on the thread count or on which thread ran
@@ -298,13 +319,14 @@ def mc_dropout_probs(model: MlpModel, inputs, seeds) -> np.ndarray:
 
 def _run_passes(h0, weights, biases, dropout_rate, seeds, logits) -> None:
     """Fill logits[t] with pass t's logits from layer 1 on, given layer 0's
-    post-ReLU output h0, on up to pass_threads() threads."""
+    post-ReLU output h0, on up to pass_threads(...) threads."""
     last = len(weights) - 1
     dropout_active = dropout_rate > 0.0
     keep = 1.0 - dropout_rate
     scale = 1.0 / keep
     rows = len(h0)
-    threads = max(1, min(pass_threads(), len(seeds)))
+    pass_size = rows * sum(w.shape[1] for w in weights[1:])
+    threads = max(1, min(pass_threads(pass_size), len(seeds)))
     # Every thread gets, for layers 1..last, a buffer for the masked input
     # and, below the last layer, one for the pre-activation; the last
     # layer writes into logits[t]. All are allocated on this thread
@@ -354,8 +376,7 @@ def _run_passes(h0, weights, biases, dropout_rate, seeds, logits) -> None:
     if threads == 1:
         run(buffers[0])
         return
-    # BLAS threads under every pass thread would oversubscribe the CPUs
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=threads - 1) as pool:
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
         futures = [pool.submit(run, layers) for layers in buffers[1:]]
         run(buffers[0])
         for future in futures:
@@ -364,7 +385,8 @@ def _run_passes(h0, weights, biases, dropout_rate, seeds, logits) -> None:
 
 def softmax(logits) -> np.ndarray:
     """Row-wise softmax with max subtraction."""
-    z = _as_batch(logits).copy()
+    # order="K" keeps the input's layout, which fixes the order of the row sums
+    z = _as_batch(logits).copy(order="K")
     _softmax_rows_in_place(z)
     return z
 

@@ -278,6 +278,7 @@ def _epoch_criterion(config: TrainConfig, record: EpochRecord) -> tuple:
 # numpy's overflow warnings are silenced: the explicit finiteness checks
 # report a blow-up as TrainingDiverged, which says where it happened.
 @np.errstate(all="ignore")
+@one_blas_thread()
 def train(
     config: TrainConfig, benchmark: dict[str, DatasetSplit], model: MlpModel
 ) -> tuple[MlpModel, TrainHistory]:
@@ -638,6 +639,7 @@ def eval_report(
     )
 
 
+@one_blas_thread()
 def evaluate_model(
     model: MlpModel,
     benchmark: dict[str, DatasetSplit],
@@ -671,7 +673,6 @@ def evaluate_model(
     return eval_report(test_id, pops, id_samples, mc_passes, mce_value)
 
 
-@one_blas_thread()
 def run_experiment(
     config: TrainConfig,
     benchmark: dict[str, DatasetSplit],

@@ -226,7 +226,9 @@ def test_softmax_bytes_equal_the_reference_formula(rows, k, log_scale, tie_share
     ties = rng.random(z.shape) < tie_share
     z[ties] = rng.choice(pool, size=int(ties.sum()))
     assert softmax(z).tobytes() == reference_softmax(z).tobytes()
-    assert softmax(z.T.copy().T).tobytes() == reference_softmax(z).tobytes()
+    # a column-major input sums its rows in another order, from 8 columns on
+    z_f = np.asfortranarray(z)
+    assert softmax(z_f).tobytes() == reference_softmax(z_f).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +549,7 @@ def test_mc_passes_do_not_depend_on_the_thread_count(name, monkeypatch):
             ])
             # 8 is more threads than this machine's cores
             for threads in (1, 2, 8):
-                monkeypatch.setattr(nn_mod, "pass_threads", lambda: threads)
+                monkeypatch.setattr(nn_mod, "pass_threads", lambda size: threads)
                 probs = mc_dropout_probs(model, x, seeds)
                 assert probs.tobytes() == expected.tobytes(), (passes, threads)
     finally:
@@ -555,7 +557,7 @@ def test_mc_passes_do_not_depend_on_the_thread_count(name, monkeypatch):
 
 
 def test_mc_passes_leave_no_thread_behind(monkeypatch):
-    monkeypatch.setattr(nn_mod, "pass_threads", lambda: 4)
+    monkeypatch.setattr(nn_mod, "pass_threads", lambda size: 4)
     model = init_mlp([2, 8, 8, 3], dropout_rate=0.2, seed=0)
     x = np.random.default_rng(0).normal(size=(20, 2))
     before = threading.active_count()
@@ -589,7 +591,7 @@ class WorkerFailingSeeds(list):
 
 
 def test_a_pass_failing_on_a_worker_thread_fails_the_call(monkeypatch):
-    monkeypatch.setattr(nn_mod, "pass_threads", lambda: 2)
+    monkeypatch.setattr(nn_mod, "pass_threads", lambda size: 2)
     model = init_mlp([2, 8, 8, 3], dropout_rate=0.2, seed=0)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="worker thread"):
@@ -597,24 +599,46 @@ def test_a_pass_failing_on_a_worker_thread_fails_the_call(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_threaded_passes_pin_blas_for_the_call_only(monkeypatch):
-    before = blas_threads()
-    counts = []
+def test_a_pass_is_sized_by_rows_times_masked_units(monkeypatch):
+    sizes = []
 
-    def recording_set(count):
-        counts.append(count)
-        return set_blas_threads(count)
+    def recording_threads(size):
+        sizes.append(size)
+        return 2
 
-    monkeypatch.setattr(nn_mod, "pass_threads", lambda: 2)
-    monkeypatch.setattr(nn_mod, "set_blas_threads", recording_set)
-    model = init_mlp([2, 8, 8, 3], dropout_rate=0.2, seed=0)
-    mc_dropout_probs(model, np.ones((5, 2)), list(range(4)))
-    assert counts == [1, before]
-    assert blas_threads() == before
+    monkeypatch.setattr(nn_mod, "pass_threads", recording_threads)
+    model = init_mlp([2, 16, 8, 3], dropout_rate=0.2, seed=0)
+    mc_dropout_probs(model, np.ones((57, 2)), list(range(4)))
+    assert sizes == [57 * (16 + 8)]
 
 
-def test_pass_threads_is_one_per_available_cpu():
-    assert pass_threads() == len(os.sched_getaffinity(0))
+def test_small_passes_run_on_the_calling_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was made")
+
+    monkeypatch.setattr(nn_mod, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(nn_mod, "available_cpus", lambda: 8)
+    model = init_mlp([2, 64, 64, 3], dropout_rate=0.2, seed=0)
+    rows = nn_mod.MIN_THREADED_PASS_SIZE // 128 - 1
+    mc_dropout_probs(model, np.ones((rows, 2)), list(range(30)))
+
+
+def test_pass_threads_follow_the_cpus_up_to_the_cap(monkeypatch):
+    big = nn_mod.MIN_THREADED_PASS_SIZE
+    assert pass_threads(big) == min(nn_mod.MAX_PASS_THREADS, nn_mod.available_cpus())
+    assert pass_threads(big - 1) == 1
+    for cpus in (1, 2, 64):
+        monkeypatch.setattr(nn_mod, "available_cpus", lambda: cpus)
+        assert pass_threads(big) == min(cpus, nn_mod.MAX_PASS_THREADS)
+
+
+def test_passes_run_where_the_os_reports_no_affinity(monkeypatch):
+    model = init_mlp([2, 64, 64, 3], dropout_rate=0.2, seed=0)
+    x = np.random.default_rng(0).normal(size=(300, 2))
+    expected = mc_dropout_probs(model, x, list(range(5)))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert nn_mod.available_cpus() == (os.cpu_count() or 1)
+    assert mc_dropout_probs(model, x, list(range(5))).tobytes() == expected.tobytes()
 
 
 def test_worker_initializer_leaves_one_pass_thread(monkeypatch):
@@ -622,7 +646,7 @@ def test_worker_initializer_leaves_one_pass_thread(monkeypatch):
     before = set_blas_threads(2)
     try:
         one_thread_per_process()
-        assert pass_threads() == 1
+        assert pass_threads(nn_mod.MIN_THREADED_PASS_SIZE) == 1
         if before is not None:
             assert blas_threads() == 1
     finally:

@@ -426,6 +426,43 @@ def test_sweep_starts_at_most_one_worker_per_point(
         ]
 
 
+def test_train_and_evaluate_run_blas_on_one_thread(tiny_benchmark, monkeypatch):
+    from oodkit.nn import set_blas_threads
+
+    def blas_count():
+        count = set_blas_threads(1)
+        if count is None:
+            pytest.skip("numpy's BLAS exports no thread-count symbols")
+        set_blas_threads(count)
+        return count
+
+    seen = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            seen.append((fn.__name__, blas_count()))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(trainer_mod, "forward", spy(trainer_mod.forward))
+    monkeypatch.setattr(trainer_mod, "predictive_samples",
+                        spy(trainer_mod.predictive_samples))
+    before = set_blas_threads(2)
+    if before is None:
+        pytest.skip("numpy's BLAS exports no thread-count symbols")
+    try:
+        config = dataclasses.replace(default_config("ce_cosine"), epochs=1)
+        trained, _ = train(config, tiny_benchmark, fresh_model(config, tiny_benchmark))
+        assert blas_count() == 2
+        assert set(seen) == {("forward", 1), ("predictive_samples", 1)}
+        seen.clear()
+        evaluate_model(trained, tiny_benchmark, mc_passes=3)
+        assert blas_count() == 2
+        assert set(seen) == {("predictive_samples", 1)}
+    finally:
+        set_blas_threads(before)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
