@@ -13,6 +13,7 @@ import contextlib
 import ctypes
 import json
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -50,9 +51,9 @@ BLAS_THREAD_SYMBOLS = (
 )
 
 
-def set_blas_threads(count: int) -> int | None:
-    """Set numpy's OpenBLAS thread count and return the previous count.
-    Returns None, changing nothing, where the symbols are not exported."""
+def _blas_thread_functions():
+    """numpy's OpenBLAS thread-count getter and setter, or None where the
+    symbols are not exported."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
         get, set_ = (getattr(lib, name) for name in BLAS_THREAD_SYMBOLS)
@@ -60,6 +61,22 @@ def set_blas_threads(count: int) -> int | None:
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def blas_threads() -> int | None:
+    """numpy's OpenBLAS thread count, or None where it cannot be read."""
+    functions = _blas_thread_functions()
+    return None if functions is None else functions[0]()
+
+
+def set_blas_threads(count: int) -> int | None:
+    """Set numpy's OpenBLAS thread count and return the previous count.
+    Returns None, changing nothing, where the symbols are not exported."""
+    functions = _blas_thread_functions()
+    if functions is None:
+        return None
+    get, set_ = functions
     previous = get()
     set_(count)
     return previous
@@ -72,6 +89,10 @@ def one_blas_thread():
 
     Every result is the same on any thread count. On matrices this small
     a second thread buys little or no wall time and doubles the CPU time.
+    The pin is also what lets pass_threads() give an MC-dropout call more
+    than one thread. It needs the OpenBLAS bundled with numpy >= 2; where
+    numpy exports no thread-count symbols, the body runs unpinned and MC
+    passes run on one thread.
     """
     previous = set_blas_threads(1)
     try:
@@ -246,9 +267,6 @@ def forward(
     return pre[-1], trace
 
 
-# set in pool workers by one_thread_per_process()
-_ONE_PASS_THREAD = False
-
 # The most pass threads measured (on a 2-vCPU host). Larger hosts use no
 # more until runs there show that the extra threads pay for themselves.
 MAX_PASS_THREADS = 2
@@ -270,21 +288,22 @@ def available_cpus() -> int:
 def pass_threads(pass_size: int) -> int:
     """Threads one mc_dropout_probs call may run passes of pass_size
     masked activations on: one per available CPU, at most
-    MAX_PASS_THREADS, and 1 for passes below MIN_THREADED_PASS_SIZE or
-    after one_thread_per_process()."""
-    if _ONE_PASS_THREAD or pass_size < MIN_THREADED_PASS_SIZE:
+    MAX_PASS_THREADS.
+
+    That is 1 unless numpy's OpenBLAS count reads exactly 1 (inside
+    one_blas_thread(), or where the user pinned it; an unreadable count
+    gives 1), the pass masks at least MIN_THREADED_PASS_SIZE activations,
+    and multiprocessing did not start the process. Pass threads on top
+    of BLAS threads, or in pool workers that already share the CPUs,
+    cost more than they buy.
+    """
+    if pass_size < MIN_THREADED_PASS_SIZE:
+        return 1
+    # read from sys.modules: `import oodkit` loads no multiprocessing
+    mp = sys.modules.get("multiprocessing")
+    if (mp is not None and mp.parent_process() is not None) or blas_threads() != 1:
         return 1
     return min(MAX_PASS_THREADS, available_cpus())
-
-
-def one_thread_per_process() -> None:
-    """Run this process's BLAS and MC passes on one thread each, for good.
-
-    The initializer of pool workers that share the CPUs among themselves.
-    """
-    global _ONE_PASS_THREAD
-    set_blas_threads(1)
-    _ONE_PASS_THREAD = True
 
 
 def mc_dropout_probs(model: MlpModel, inputs, seeds) -> np.ndarray:
@@ -297,10 +316,11 @@ def mc_dropout_probs(model: MlpModel, inputs, seeds) -> np.ndarray:
     computed once.
 
     The passes run on up to pass_threads(...) threads, the calling thread
-    among them, and every other thread is joined before the call
-    returns. Each pass owns its generator and its logits[t], so the
-    result does not depend on the thread count or on which thread ran
-    which pass.
+    among them, and every other thread is joined before the call returns.
+    More than one runs only under one_blas_thread() in a process that
+    multiprocessing did not start. Each pass owns its generator and its
+    logits[t], so the result does not depend on the thread count or on
+    which thread ran which pass.
     """
     x = _as_batch(inputs, model.input_dim)
     weights, biases = model.weights, model.biases

@@ -29,7 +29,6 @@ from .nn import (
     forward,
     init_mlp,
     one_blas_thread,
-    one_thread_per_process,
     sgd_step,
 )
 from .objectives import ObjectiveParams, require_finite
@@ -477,9 +476,10 @@ def sweep(
     exactly.
 
     workers > 1 trains grid points in a process pool of at most one
-    worker per point, each on one BLAS and one MC pass thread; results
-    are merged by grid index, so the leaderboard is independent of
-    scheduling.
+    worker per point. Each worker trains on one BLAS thread (train pins
+    it) and one MC pass thread (pass_threads gives pool workers one);
+    results are merged by grid index, so the leaderboard is independent
+    of scheduling.
     """
     if not grid:
         raise ValueError("grid must contain at least one point")
@@ -503,9 +503,7 @@ def sweep(
         # imported here: `import oodkit` then loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=one_thread_per_process
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(task, configs))
     else:
         outcomes = [task(cfg) for cfg in configs]

@@ -1,4 +1,3 @@
-import ctypes
 import json
 import os
 import subprocess
@@ -7,6 +6,7 @@ import tempfile
 import threading
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +23,12 @@ from oodkit.nn import (
     ModelFileError,
     OptimizerState,
     backward,
+    blas_threads,
     forward,
     init_mlp,
     load_model,
     mc_dropout_probs,
     one_blas_thread,
-    one_thread_per_process,
     pass_threads,
     save_model,
     set_blas_threads,
@@ -458,16 +458,15 @@ def test_load_inconsistent_shapes(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def blas_threads() -> int:
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        return getattr(lib, BLAS_THREAD_SYMBOLS[0])()
-    except (AttributeError, OSError):
+def readable_blas_threads() -> int:
+    count = blas_threads()
+    if count is None:
         pytest.skip("numpy's BLAS exports no thread-count symbols")
+    return count
 
 
 def test_one_blas_thread_restores_the_previous_count():
-    before = blas_threads()
+    before = readable_blas_threads()
     set_blas_threads(2)
     try:
         with one_blas_thread():
@@ -483,22 +482,24 @@ def test_one_blas_thread_restores_the_previous_count():
 
 
 def test_one_blas_thread_is_a_no_op_without_the_symbols(monkeypatch):
-    before = blas_threads()
+    before = readable_blas_threads()
+    real_count = nn_mod._blas_thread_functions()[0]
     set_blas_threads(2)
     try:
         monkeypatch.setattr(nn_mod, "BLAS_THREAD_SYMBOLS",
                             ("no_such_getter", "no_such_setter"))
+        assert blas_threads() is None
         assert set_blas_threads(1) is None
         with one_blas_thread():
-            assert blas_threads() == 2
-        assert blas_threads() == 2
+            assert real_count() == 2
+        assert real_count() == 2
     finally:
         monkeypatch.undo()
         set_blas_threads(before)
 
 
 def test_import_leaves_the_blas_thread_count_alone():
-    blas_threads()  # skips where the count cannot be read
+    readable_blas_threads()  # skips where the count cannot be read
     code = (
         "import ctypes, numpy as np\n"
         "lib = ctypes.CDLL(np._core._multiarray_umath.__file__)\n"
@@ -620,16 +621,61 @@ def test_small_passes_run_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(nn_mod, "available_cpus", lambda: 8)
     model = init_mlp([2, 64, 64, 3], dropout_rate=0.2, seed=0)
     rows = nn_mod.MIN_THREADED_PASS_SIZE // 128 - 1
-    mc_dropout_probs(model, np.ones((rows, 2)), list(range(30)))
+    with one_blas_thread():
+        mc_dropout_probs(model, np.ones((rows, 2)), list(range(30)))
+
+
+def test_passes_get_threads_only_where_blas_is_pinned(monkeypatch):
+    before = readable_blas_threads()
+    made = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(nn_mod, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(nn_mod, "available_cpus", lambda: 2)
+    model = init_mlp([2, 64, 64, 3], dropout_rate=0.2, seed=0)
+    x = np.random.default_rng(0).normal(size=(nn_mod.MIN_THREADED_PASS_SIZE // 128 + 1, 2))
+    seeds = list(range(8))
+    set_blas_threads(2)
+    try:
+        # a direct call at the default count: pass threads on top of BLAS
+        # threads would oversubscribe the CPUs
+        unpinned = mc_dropout_probs(model, x, seeds)
+        assert made == []
+        with one_blas_thread():
+            pinned = mc_dropout_probs(model, x, seeds)
+        assert made == [{"max_workers": 1}]
+    finally:
+        set_blas_threads(before)
+    assert pinned.tobytes() == unpinned.tobytes()
 
 
 def test_pass_threads_follow_the_cpus_up_to_the_cap(monkeypatch):
     big = nn_mod.MIN_THREADED_PASS_SIZE
-    assert pass_threads(big) == min(nn_mod.MAX_PASS_THREADS, nn_mod.available_cpus())
-    assert pass_threads(big - 1) == 1
-    for cpus in (1, 2, 64):
-        monkeypatch.setattr(nn_mod, "available_cpus", lambda: cpus)
-        assert pass_threads(big) == min(cpus, nn_mod.MAX_PASS_THREADS)
+    before = readable_blas_threads()
+    set_blas_threads(2)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(nn_mod, "available_cpus", lambda: 64)
+            assert pass_threads(big) == 1
+        with one_blas_thread():
+            assert pass_threads(big) == min(nn_mod.MAX_PASS_THREADS, nn_mod.available_cpus())
+            assert pass_threads(big - 1) == 1
+            for cpus in (1, 2, 64):
+                monkeypatch.setattr(nn_mod, "available_cpus", lambda: cpus)
+                assert pass_threads(big) == min(cpus, nn_mod.MAX_PASS_THREADS)
+    finally:
+        set_blas_threads(before)
+
+
+def test_passes_run_on_one_thread_where_the_blas_count_cannot_be_read(monkeypatch):
+    monkeypatch.setattr(nn_mod, "available_cpus", lambda: 2)
+    with one_blas_thread(), monkeypatch.context() as patch:
+        patch.setattr(nn_mod, "BLAS_THREAD_SYMBOLS", ("no_such_getter", "no_such_setter"))
+        assert pass_threads(nn_mod.MIN_THREADED_PASS_SIZE) == 1
 
 
 def test_passes_run_where_the_os_reports_no_affinity(monkeypatch):
@@ -638,17 +684,19 @@ def test_passes_run_where_the_os_reports_no_affinity(monkeypatch):
     expected = mc_dropout_probs(model, x, list(range(5)))
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert nn_mod.available_cpus() == (os.cpu_count() or 1)
-    assert mc_dropout_probs(model, x, list(range(5))).tobytes() == expected.tobytes()
+    with one_blas_thread():
+        assert mc_dropout_probs(model, x, list(range(5))).tobytes() == expected.tobytes()
 
 
-def test_worker_initializer_leaves_one_pass_thread(monkeypatch):
-    monkeypatch.setattr(nn_mod, "_ONE_PASS_THREAD", False)
-    before = set_blas_threads(2)
-    try:
-        one_thread_per_process()
-        assert pass_threads(nn_mod.MIN_THREADED_PASS_SIZE) == 1
-        if before is not None:
-            assert blas_threads() == 1
-    finally:
-        if before is not None:
-            set_blas_threads(before)
+def pinned_pass_threads() -> int:
+    with one_blas_thread():
+        return pass_threads(nn_mod.MIN_THREADED_PASS_SIZE)
+
+
+def test_pool_workers_run_passes_on_one_thread(monkeypatch):
+    readable_blas_threads()  # skips where the count cannot be read
+    # forked workers inherit the patch, so only pool membership differs
+    monkeypatch.setattr(nn_mod, "available_cpus", lambda: 2)
+    assert pinned_pass_threads() == 2
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(pinned_pass_threads).result(timeout=60) == 1

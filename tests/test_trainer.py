@@ -409,8 +409,6 @@ def test_sweep_starts_at_most_one_worker_per_point(
 ):
     import concurrent.futures
 
-    from oodkit.nn import one_thread_per_process
-
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandInPool)
     monkeypatch.setattr(StandInPool, "made", [])
     monkeypatch.setattr(trainer_mod, "_sweep_task", canned_task)
@@ -421,26 +419,20 @@ def test_sweep_starts_at_most_one_worker_per_point(
     if pool_size is None:
         assert StandInPool.made == []
     else:
-        assert StandInPool.made == [
-            {"max_workers": pool_size, "initializer": one_thread_per_process}
-        ]
+        assert StandInPool.made == [{"max_workers": pool_size}]
 
 
 def test_train_and_evaluate_run_blas_on_one_thread(tiny_benchmark, monkeypatch):
-    from oodkit.nn import set_blas_threads
+    from oodkit.nn import blas_threads, set_blas_threads
 
-    def blas_count():
-        count = set_blas_threads(1)
-        if count is None:
-            pytest.skip("numpy's BLAS exports no thread-count symbols")
-        set_blas_threads(count)
-        return count
+    if blas_threads() is None:
+        pytest.skip("numpy's BLAS exports no thread-count symbols")
 
     seen = []
 
     def spy(fn):
         def wrapped(*args, **kwargs):
-            seen.append((fn.__name__, blas_count()))
+            seen.append((fn.__name__, blas_threads()))
             return fn(*args, **kwargs)
         return wrapped
 
@@ -448,16 +440,14 @@ def test_train_and_evaluate_run_blas_on_one_thread(tiny_benchmark, monkeypatch):
     monkeypatch.setattr(trainer_mod, "predictive_samples",
                         spy(trainer_mod.predictive_samples))
     before = set_blas_threads(2)
-    if before is None:
-        pytest.skip("numpy's BLAS exports no thread-count symbols")
     try:
         config = dataclasses.replace(default_config("ce_cosine"), epochs=1)
         trained, _ = train(config, tiny_benchmark, fresh_model(config, tiny_benchmark))
-        assert blas_count() == 2
+        assert blas_threads() == 2
         assert set(seen) == {("forward", 1), ("predictive_samples", 1)}
         seen.clear()
         evaluate_model(trained, tiny_benchmark, mc_passes=3)
-        assert blas_count() == 2
+        assert blas_threads() == 2
         assert set(seen) == {("predictive_samples", 1)}
     finally:
         set_blas_threads(before)
