@@ -11,9 +11,11 @@ from __future__ import annotations
 import collections
 import contextlib
 import ctypes
+import functools
 import json
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -54,9 +56,16 @@ BLAS_THREAD_SYMBOLS = (
 def _blas_thread_functions():
     """numpy's OpenBLAS thread-count getter and setter, or None where the
     symbols are not exported."""
+    return _load_blas_thread_functions(BLAS_THREAD_SYMBOLS)
+
+
+# Opening the library and building the function pointers costs about
+# 35 us, so it is done once per process for each pair of symbol names.
+@functools.cache
+def _load_blas_thread_functions(symbols: tuple[str, str]):
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get, set_ = (getattr(lib, name) for name in BLAS_THREAD_SYMBOLS)
+        get, set_ = (getattr(lib, name) for name in symbols)
     except (AttributeError, OSError):
         return None
     get.argtypes, get.restype = [], ctypes.c_int
@@ -82,24 +91,40 @@ def set_blas_threads(count: int) -> int | None:
     return previous
 
 
+class _BlasPin:
+    """The process's one_blas_thread() bodies. The BLAS count is process
+    wide, so the first body to enter saves it and pins it to 1, and the
+    last to leave restores it, in whatever order bodies on different
+    threads enter and leave."""
+
+    lock = threading.Lock()
+    entries = 0
+    saved: int | None = None
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread, then restore the
-    previous count.
+    previous count once no body on any thread still runs.
 
     Every result is the same on any thread count. On matrices this small
     a second thread buys little or no wall time and doubles the CPU time.
     The pin is also what lets pass_threads() give an MC-dropout call more
     than one thread. It needs the OpenBLAS bundled with numpy >= 2; where
     numpy exports no thread-count symbols, the body runs unpinned and MC
-    passes run on one thread.
+    passes run on one thread. A nested body costs a lock and a counter.
     """
-    previous = set_blas_threads(1)
+    with _BlasPin.lock:
+        if _BlasPin.entries == 0:
+            _BlasPin.saved = set_blas_threads(1)
+        _BlasPin.entries += 1
     try:
         yield
     finally:
-        if previous is not None:
-            set_blas_threads(previous)
+        with _BlasPin.lock:
+            _BlasPin.entries -= 1
+            if _BlasPin.entries == 0 and _BlasPin.saved is not None:
+                set_blas_threads(_BlasPin.saved)
 
 
 @dataclass
@@ -169,6 +194,15 @@ class ForwardTrace:
 
     def layer_input(self, l: int) -> np.ndarray:
         return self.inputs if l == 0 else self.hidden_activations[l - 1]
+
+    @classmethod
+    def allocate(cls, model: "MlpModel", inputs: np.ndarray, dropout: bool):
+        """A trace of inputs and uninitialised buffers, for forward_into;
+        it has mask buffers if dropout is set."""
+        pre = [np.empty((len(inputs), d)) for d in model.layer_dims[1:]]
+        hidden = [np.empty_like(z) for z in pre[:-1]]
+        masks = [np.empty_like(h) if dropout else None for h in hidden]
+        return cls(inputs, pre, hidden, masks)
 
 
 @dataclass
@@ -243,28 +277,32 @@ def forward(
     dropout_active = mode != "eval" and model.dropout_rate > 0.0
     if dropout_active and seed is None:
         raise ValueError(f"mode {mode!r} with dropout requires a seed")
+    trace = ForwardTrace.allocate(model, x, dropout_active)
     rng = np.random.default_rng(seed) if dropout_active else None
+    logits = forward_into(model, trace, rng)
+    return logits, trace
 
-    n_layers = len(model.weights)
-    pre, hidden, masks = [], [], []
-    a = x
-    for l in range(n_layers):
-        z = a @ model.weights[l].T + model.biases[l]
-        pre.append(z)
-        if l == n_layers - 1:
-            break
-        h = np.maximum(z, 0.0)
-        if dropout_active:
-            keep = 1.0 - model.dropout_rate
-            mask = (rng.random(h.shape) < keep).astype(np.float64) / keep
-            h = h * mask
-            masks.append(mask)
-        else:
-            masks.append(None)
-        hidden.append(h)
-        a = h
-    trace = ForwardTrace(x, pre, hidden, masks)
-    return pre[-1], trace
+
+def forward_into(model: MlpModel, trace: ForwardTrace, rng) -> np.ndarray:
+    """forward's arithmetic, unchecked, on trace.inputs. Writes every
+    layer's outputs into the trace's buffers and returns the logits,
+    trace.pre_activations[-1]. With an rng, each hidden layer's dropout
+    mask is drawn from it into trace.masks."""
+    a = trace.inputs
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        if l > 0:
+            a = np.maximum(z, 0.0, out=trace.hidden_activations[l - 1])
+            if rng is not None:
+                # the mask is 0 or 1/keep, as (r < keep).astype(float) / keep
+                keep = 1.0 - model.dropout_rate
+                mask = trace.masks[l - 1]
+                rng.random(out=mask)
+                np.less(mask, keep, out=mask)
+                mask /= keep
+                a *= mask
+        z = np.matmul(a, w.T, out=trace.pre_activations[l])
+        z += b
+    return z
 
 
 # The most pass threads measured (on a 2-vCPU host). Larger hosts use no
@@ -333,7 +371,7 @@ def mc_dropout_probs(model: MlpModel, inputs, seeds) -> np.ndarray:
         logits[:] = h0
     else:
         _run_passes(h0, weights, biases, model.dropout_rate, seeds, logits)
-    _softmax_rows_in_place(_as_batch(logits.reshape(-1, model.num_classes)))
+    softmax_in_place(_as_batch(logits.reshape(-1, model.num_classes)))
     return logits
 
 
@@ -407,11 +445,12 @@ def softmax(logits) -> np.ndarray:
     """Row-wise softmax with max subtraction."""
     # order="K" keeps the input's layout, which fixes the order of the row sums
     z = _as_batch(logits).copy(order="K")
-    _softmax_rows_in_place(z)
+    softmax_in_place(z)
     return z
 
 
-def _softmax_rows_in_place(z: np.ndarray) -> None:
+def softmax_in_place(z: np.ndarray) -> None:
+    """softmax's arithmetic, unchecked, on z's rows in place."""
     # The row max is taken one column at a time: a max is exact in any
     # order, and where a tie of 0.0 and -0.0 picks the other zero, z - m
     # changes only the sign of a zero, which exp maps to 1 either way.
@@ -427,26 +466,35 @@ def _softmax_rows_in_place(z: np.ndarray) -> None:
 
 def backward(model: MlpModel, trace: ForwardTrace, d_logits) -> Gradients:
     """Backpropagate a logit gradient through the traced forward pass."""
-    n_layers = len(model.weights)
     dz = np.asarray(d_logits, dtype=np.float64)
     if dz.shape != trace.pre_activations[-1].shape:
         raise ValueError(
             f"d_logits shape {dz.shape} != logits shape "
             f"{trace.pre_activations[-1].shape}"
         )
-    grads_w: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    grads_b: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    for l in reversed(range(n_layers)):
-        a_prev = trace.layer_input(l)
-        grads_w[l] = dz.T @ a_prev
-        grads_b[l] = dz.sum(axis=0)
+    grads = Gradients([np.empty_like(w) for w in model.weights],
+                      [np.empty_like(b) for b in model.biases])
+    deltas = [np.empty_like(h) for h in trace.hidden_activations]
+    backward_into(model, trace, dz, grads, deltas)
+    return grads
+
+
+def backward_into(
+    model: MlpModel, trace: ForwardTrace, dz: np.ndarray, grads: Gradients,
+    deltas: list[np.ndarray],
+) -> None:
+    """backward's arithmetic, unchecked: writes the gradients of logit
+    gradient dz into grads, using deltas[l] (shaped like hidden layer l)
+    as scratch. Neither dz nor the trace is written to."""
+    for l in reversed(range(len(model.weights))):
+        np.matmul(dz.T, trace.layer_input(l), out=grads.weights[l])
+        np.add.reduce(dz, axis=0, out=grads.biases[l])  # dz.sum(axis=0)
         if l > 0:
-            da = dz @ model.weights[l]
+            da = np.matmul(dz, model.weights[l], out=deltas[l - 1])
             mask = trace.masks[l - 1]
             if mask is not None:
-                da = da * mask
-            dz = da * (trace.pre_activations[l - 1] > 0.0)
-    return Gradients(grads_w, grads_b)
+                da *= mask
+            dz = np.multiply(da, trace.pre_activations[l - 1] > 0.0, out=da)
 
 
 def sgd_step(model: MlpModel, grads: Gradients, state: OptimizerState) -> None:
@@ -458,15 +506,29 @@ def sgd_step(model: MlpModel, grads: Gradients, state: OptimizerState) -> None:
             raise ValueError("gradient/parameter shape mismatch")
         if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
             raise DivergenceError("non-finite gradient; step aborted")
-    lr, mu, wd = state.learning_rate, state.momentum, state.weight_decay
-    for w, gw, vw in zip(model.weights, grads.weights, state.velocity_w):
-        vw *= mu
-        vw += gw + wd * w
-        w -= lr * vw
-    for b, gb, vb in zip(model.biases, grads.biases, state.velocity_b):
-        vb *= mu
-        vb += gb + wd * b
-        b -= lr * vb
+    for param, grad, velocity in zip(
+        model.weights + model.biases,
+        grads.weights + grads.biases,
+        state.velocity_w + state.velocity_b,
+    ):
+        sgd_update(param, grad, velocity, np.empty_like(param),
+                   state.learning_rate, state.momentum, state.weight_decay)
+
+
+def sgd_update(param, grad, velocity, scratch, lr, mu, wd) -> None:
+    """sgd_step's arithmetic, unchecked, on arrays of one shape: one
+    layer's, or every layer's at once as flat vectors. scratch is
+    overwritten.
+
+    velocity = mu * velocity + (grad + wd * param); param -= lr * velocity.
+    Each element sees the same float operations in any layout.
+    """
+    velocity *= mu
+    np.multiply(param, wd, out=scratch)
+    scratch += grad
+    velocity += scratch
+    np.multiply(velocity, lr, out=scratch)
+    param -= scratch
 
 
 def save_model(model: MlpModel, path) -> None:

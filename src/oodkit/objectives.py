@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import softmax
+from .nn import softmax_in_place
 
 
 def require_finite(config) -> None:
@@ -101,6 +101,13 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    # nn.softmax without its input check
+    p = z.copy(order="K")
+    softmax_in_place(p)
+    return p
+
+
 def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     # dL/dz for L with dL/dp = g, p = softmax(z): p * (g - <g, p>)
     dot = (g * p).sum(axis=1, keepdims=True)
@@ -108,12 +115,10 @@ def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _row_cosines(p: np.ndarray, q: np.ndarray):
-    """Per-row cosine of two probability batches plus cached norms."""
+    """Per-row cosine of two probability batches plus cached norms. A
+    softmax row sums to 1, so its norm is at least 1/sqrt(k)."""
     pn = np.linalg.norm(p, axis=1, keepdims=True)
     qn = np.linalg.norm(q, axis=1, keepdims=True)
-    if np.any(pn == 0.0) or np.any(qn == 0.0):
-        # unreachable for softmax outputs, guarded anyway
-        raise ValueError("zero-norm probability row")
     s = (p * q).sum(axis=1, keepdims=True) / (pn * qn)
     return s, pn, qn
 
@@ -125,17 +130,33 @@ def _cosine_grads(p, q, s, pn, qn, weight: float):
     return _softmax_vjp(p, gp), _softmax_vjp(q, gq)
 
 
+# Each loss below is its checks, then one call to its *_into kernel. A
+# kernel takes checked logits z_in (and z_out) and integer labels y in
+# [0, k), writes the logit gradients into d_in (and d_out), and returns
+# (loss, terms). The training step calls the kernels directly, with its
+# inputs checked once per train() call and its logits once per step.
+
+
 def cross_entropy_loss(logits_in, labels) -> LossResult:
     """Mean cross-entropy on labelled in-distribution logits."""
     z = _check_logits(logits_in, "logits_in")
-    n, k = z.shape
-    y = _check_labels(labels, n, k)
-    logp = _log_softmax(z)
-    loss = float(-logp[np.arange(n), y].mean())
-    d = np.exp(logp)
-    d[np.arange(n), y] -= 1.0
-    d /= n
-    return LossResult(loss, d, None, {"ce": loss})
+    y = _check_labels(labels, *z.shape)
+    d_in = np.empty_like(z)
+    loss, terms = cross_entropy_into(z, y, d_in)
+    return LossResult(loss, d_in, None, terms)
+
+
+def cross_entropy_into(z_in, y, d_in) -> tuple[float, dict[str, float]]:
+    n = len(z_in)
+    rows = np.arange(n)
+    logp = _log_softmax(z_in)
+    # -mean(logp[rows, y]); add.reduce is the sum mean() takes
+    loss = float(-(np.add.reduce(logp[rows, y]) / n))
+    np.exp(logp, out=d_in)
+    # d_in[rows, y] -= 1.0, without the gather and scatter (rows are unique)
+    np.subtract.at(d_in, (rows, y), 1.0)
+    d_in /= n
+    return loss, {"ce": loss}
 
 
 def ce_cosine_loss(logits_in, labels, logits_out, lam: float) -> LossResult:
@@ -147,20 +168,25 @@ def ce_cosine_loss(logits_in, labels, logits_out, lam: float) -> LossResult:
     practice drives outlier predictions toward the uniform vector.
     """
     z_in, z_out = _check_pair(logits_in, logits_out)
-    ce = cross_entropy_loss(z_in, labels)
-    n = z_in.shape[0]
-    p = softmax(z_in)
-    q = softmax(z_out)
+    y = _check_labels(labels, *z_in.shape)
+    d_in, d_out = np.empty_like(z_in), np.empty_like(z_out)
+    loss, terms = ce_cosine_into(z_in, y, z_out, lam, d_in, d_out)
+    return LossResult(loss, d_in, d_out, terms)
+
+
+def ce_cosine_into(z_in, y, z_out, lam, d_in, d_out) -> tuple[float, dict[str, float]]:
+    ce, _ = cross_entropy_into(z_in, y, d_in)
+    p = _softmax(z_in)
+    q = _softmax(z_out)
     s, pn, qn = _row_cosines(p, q)
     cos_term = float(lam * s.mean())
-    d_in = ce.d_logits_in
-    d_out = np.zeros_like(z_out)
     if lam != 0.0:
-        g_in, g_out = _cosine_grads(p, q, s, pn, qn, lam / n)
-        d_in = d_in + g_in
-        d_out = g_out
-    loss = ce.loss + cos_term
-    return LossResult(loss, d_in, d_out, {"ce": ce.loss, "cosine": cos_term})
+        g_in, g_out = _cosine_grads(p, q, s, pn, qn, lam / len(z_in))
+        d_in += g_in
+        d_out[...] = g_out
+    else:
+        d_out.fill(0.0)
+    return ce + cos_term, {"ce": ce, "cosine": cos_term}
 
 
 def cosine_margin_ranking_loss(
@@ -180,14 +206,23 @@ def cosine_margin_ranking_loss(
     if k != params.k:
         raise ValueError(f"params.k = {params.k} but logits have {k} classes")
     y = _check_labels(labels, n, k)
-    p = softmax(z_in)
-    q = softmax(z_out)
+    d_in, d_out = np.empty_like(z_in), np.empty_like(z_out)
+    loss, terms = cosine_margin_ranking_into(z_in, y, z_out, params, d_in, d_out)
+    return LossResult(loss, d_in, d_out, terms)
+
+
+def cosine_margin_ranking_into(
+    z_in, y, z_out, params: ObjectiveParams, d_in, d_out
+) -> tuple[float, dict[str, float]]:
+    n, k = z_in.shape
+    p = _softmax(z_in)
+    q = _softmax(z_out)
     s, pn, qn = _row_cosines(p, q)
 
     hinge_arg = params.gamma + float(s.mean())
     hinge = max(0.0, hinge_arg)
-    d_in = np.zeros_like(z_in)
-    d_out = np.zeros_like(z_out)
+    d_in.fill(0.0)
+    d_out.fill(0.0)
     if hinge_arg > 0.0:
         g_in, g_out = _cosine_grads(p, q, s, pn, qn, 1.0 / n)
         d_in += g_in
@@ -199,17 +234,16 @@ def cosine_margin_ranking_loss(
         g_l1 = (params.lambda1 / n) * np.sign(q - uniform)
         d_out += _softmax_vjp(q, g_l1)
 
-    p_true = p[np.arange(n), y]
+    rows = np.arange(n)
+    p_true = p[rows, y]
     l2_term = float(params.lambda2 * ((p_true - params.alpha) ** 2).mean())
     if params.lambda2 != 0.0:
         g_l2 = np.zeros_like(p)
-        g_l2[np.arange(n), y] = (params.lambda2 / n) * 2.0 * (p_true - params.alpha)
+        g_l2[rows, y] = (params.lambda2 / n) * 2.0 * (p_true - params.alpha)
         d_in += _softmax_vjp(p, g_l2)
 
     loss = hinge + l1_term + l2_term
-    return LossResult(
-        loss, d_in, d_out, {"hinge": hinge, "l1": l1_term, "l2": l2_term}
-    )
+    return loss, {"hinge": hinge, "l1": l1_term, "l2": l2_term}
 
 
 def outlier_exposure_loss(logits_in, labels, logits_out, lam: float) -> LossResult:
@@ -218,15 +252,25 @@ def outlier_exposure_loss(logits_in, labels, logits_out, lam: float) -> LossResu
     if lam < 0:
         raise ValueError(f"outlier exposure weight must be >= 0, got {lam}")
     z_in, z_out = _check_pair(logits_in, logits_out)
-    ce = cross_entropy_loss(z_in, labels)
+    y = _check_labels(labels, *z_in.shape)
+    d_in, d_out = np.empty_like(z_in), np.empty_like(z_out)
+    loss, terms = outlier_exposure_into(z_in, y, z_out, lam, d_in, d_out)
+    return LossResult(loss, d_in, d_out, terms)
+
+
+def outlier_exposure_into(z_in, y, z_out, lam, d_in, d_out) -> tuple[float, dict[str, float]]:
+    ce, _ = cross_entropy_into(z_in, y, d_in)
     n, k = z_out.shape
     logq = _log_softmax(z_out)
     oe_term = float(lam * (-logq.mean(axis=1)).mean())
-    d_out = np.zeros_like(z_out)
     if lam != 0.0:
-        d_out = (lam / n) * (np.exp(logq) - 1.0 / k)
-    loss = ce.loss + oe_term
-    return LossResult(loss, ce.d_logits_in, d_out, {"ce": ce.loss, "oe": oe_term})
+        # (lam / n) * (exp(logq) - 1/k)
+        np.exp(logq, out=d_out)
+        d_out -= 1.0 / k
+        d_out *= lam / n
+    else:
+        d_out.fill(0.0)
+    return ce + oe_term, {"ce": ce, "oe": oe_term}
 
 
 # ---------------------------------------------------------------------------

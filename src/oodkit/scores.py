@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ForwardTrace, MlpModel, forward, mc_dropout_probs, softmax
+from .nn import (
+    ForwardTrace, MlpModel, forward, mc_dropout_probs, one_blas_thread, softmax,
+)
 from .seeding import STREAM_MC, derive_seed
 
 # kind -> the population it scores higher, in report order
@@ -57,6 +59,7 @@ def predict_probs(model: MlpModel, inputs) -> np.ndarray:
     return softmax(logits)
 
 
+@one_blas_thread()
 def mc_dropout_predict(
     model: MlpModel, inputs, num_passes: int, seed: int
 ) -> PredictiveSamples:
@@ -64,6 +67,8 @@ def mc_dropout_predict(
     derive_seed(seed, STREAM_MC, t).
 
     With dropout_rate = 0 every pass equals the eval-mode prediction.
+    Runs under one_blas_thread(), so a large call may run its passes on
+    more than one thread (nn.pass_threads).
     """
     if num_passes < 1:
         raise ValueError(f"num_passes must be >= 1, got {num_passes}")
@@ -71,6 +76,7 @@ def mc_dropout_predict(
     return PredictiveSamples(mc_dropout_probs(model, inputs, seeds))
 
 
+@one_blas_thread()
 def predictive_samples(
     model: MlpModel, inputs, passes: int, seed: int
 ) -> tuple[PredictiveSamples, ForwardTrace | None]:
@@ -78,7 +84,8 @@ def predictive_samples(
 
     A dropout model with passes > 1 gets `passes` MC-dropout passes
     seeded by `seed`, and the trace is None. Otherwise one eval-mode
-    pass gives a T=1 stack, returned with that pass's trace.
+    pass gives a T=1 stack, returned with that pass's trace. Runs under
+    one_blas_thread().
     """
     if passes > 1 and model.dropout_rate > 0:
         return mc_dropout_predict(model, inputs, passes, seed), None

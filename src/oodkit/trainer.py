@@ -21,15 +21,15 @@ from .datasynth import (
 )
 from .metrics import EvalReport, accuracy, auc_roc, classify, mce
 from .nn import (
-    DivergenceError,
+    ForwardTrace,
     Gradients,
     MlpModel,
-    OptimizerState,
-    backward,
-    forward,
+    backward_into,
+    forward,  # noqa: F401  (kept bound: tracing and tests patch trainer.forward)
+    forward_into,
     init_mlp,
     one_blas_thread,
-    sgd_step,
+    sgd_update,
 )
 from .objectives import ObjectiveParams, require_finite
 from .scores import (
@@ -72,23 +72,26 @@ def _weight_l1(config: TrainConfig, model: MlpModel, grads: Gradients) -> dict:
 class ObjectiveSpec:
     """One row of the objective table.
 
-    loss(params, logits_in, labels, logits_out) returns the LossResult.
-    penalty(config, model, grads), if set, runs once the OOD gradients
-    are merged: it adds to grads in place and returns extra loss terms.
-    defaults are the objective's TrainConfig overrides.
+    loss(params, z_in, labels, z_out, d_in, d_out) runs the objective's
+    unchecked loss kernel: it writes the logit gradients into d_in and
+    d_out (both z_out and d_out are None without an outlier batch) and
+    returns (loss, terms). penalty(config, model, grads), if set, runs
+    once the OOD gradients are merged: it adds to grads in place and
+    returns extra loss terms. defaults are the objective's TrainConfig
+    overrides.
     """
 
-    loss: Callable[..., objectives.LossResult]
+    loss: Callable[..., tuple[float, dict[str, float]]]
     needs_ood: bool = False
     penalty: Callable[..., dict[str, float]] | None = None
     defaults: dict = field(default_factory=dict)
 
 
-def _ce(params, logits_in, labels, logits_out) -> objectives.LossResult:
-    return objectives.cross_entropy_loss(logits_in, labels)
+def _ce(params, z_in, y, z_out, d_in, d_out):
+    return objectives.cross_entropy_into(z_in, y, d_in)
 
 
-# Each loss is looked up on the objectives module when it is called, so
+# Each kernel is looked up on the objectives module when it is called, so
 # a wrapper installed there (tracing, a test double) sees every call.
 #
 # The defaults are tuned per-objective rows for the default benchmark.
@@ -102,14 +105,16 @@ OBJECTIVE_TABLE: dict[str, ObjectiveSpec] = {
     "ce": ObjectiveSpec(_ce),
     "ce_l1": ObjectiveSpec(_ce, penalty=_weight_l1),
     "ce_cosine": ObjectiveSpec(
-        lambda p, z_in, y, z_out: objectives.ce_cosine_loss(z_in, y, z_out, p.lam),
+        lambda p, z_in, y, z_out, d_in, d_out: objectives.ce_cosine_into(
+            z_in, y, z_out, p.lam, d_in, d_out
+        ),
         needs_ood=True,
         defaults={"lam": 1.0, "weight_decay": 3e-3, "dropout_rate": 0.2,
                   "mc_passes": 200},
     ),
     "cosine_margin": ObjectiveSpec(
-        lambda p, z_in, y, z_out: objectives.cosine_margin_ranking_loss(
-            z_in, y, z_out, p
+        lambda p, z_in, y, z_out, d_in, d_out: objectives.cosine_margin_ranking_into(
+            z_in, y, z_out, p, d_in, d_out
         ),
         needs_ood=True,
         defaults={"hidden_dims": (128, 128), "dropout_rate": 0.4, "gamma": -0.5,
@@ -117,8 +122,8 @@ OBJECTIVE_TABLE: dict[str, ObjectiveSpec] = {
                   "mc_passes": 200},
     ),
     "outlier_exposure": ObjectiveSpec(
-        lambda p, z_in, y, z_out: objectives.outlier_exposure_loss(
-            z_in, y, z_out, p.lam
+        lambda p, z_in, y, z_out, d_in, d_out: objectives.outlier_exposure_into(
+            z_in, y, z_out, p.lam, d_in, d_out
         ),
         needs_ood=True,
         defaults={"lam": 1.0, "dropout_rate": 0.2},
@@ -274,6 +279,68 @@ def _epoch_criterion(config: TrainConfig, record: EpochRecord) -> tuple:
     return (record.val_accuracy, -record.train_loss)
 
 
+def _layer_views(flat: np.ndarray, dims: list[int]) -> tuple[list, list]:
+    """Per-layer (weights, biases) views of a flat vector laid out as
+    every layer's weights, then every layer's biases."""
+    shapes = [(o, i) for i, o in zip(dims[:-1], dims[1:])] + [(o,) for o in dims[1:]]
+    views, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views[:len(dims) - 1], views[len(dims) - 1:]
+
+
+@dataclass
+class _BatchBuffers:
+    """What one batch step writes, for a given number of rows: the
+    forward traces of the ID batch and of the outlier batch (None without
+    one; it runs without dropout), backward's scratch, the labels and the
+    logit gradients. The traces' inputs hold the batches."""
+
+    trace_in: ForwardTrace
+    trace_out: ForwardTrace | None
+    deltas: list[np.ndarray]
+    labels: np.ndarray
+    d_in: np.ndarray
+    d_out: np.ndarray | None
+
+    @classmethod
+    def allocate(cls, model: MlpModel, rows: int, labels_dtype, ood: bool):
+        def trace(dropout: bool) -> ForwardTrace:
+            return ForwardTrace.allocate(model, np.empty((rows, model.input_dim)), dropout)
+
+        trace_in = trace(model.dropout_rate > 0)
+        return cls(
+            trace_in,
+            trace(False) if ood else None,
+            [np.empty_like(h) for h in trace_in.hidden_activations],
+            np.empty(rows, labels_dtype),
+            np.empty((rows, model.num_classes)),
+            np.empty((rows, model.num_classes)) if ood else None,
+        )
+
+    def head(self, n: int) -> "_BatchBuffers":
+        """Views of the first n rows of every buffer."""
+        def rows(a):
+            return None if a is None else a[:n]
+
+        def trace(t):
+            return None if t is None else ForwardTrace(
+                t.inputs[:n], [z[:n] for z in t.pre_activations],
+                [h[:n] for h in t.hidden_activations], [rows(m) for m in t.masks],
+            )
+
+        return _BatchBuffers(trace(self.trace_in), trace(self.trace_out),
+                             [d[:n] for d in self.deltas], self.labels[:n],
+                             self.d_in[:n], rows(self.d_out))
+
+
+def _check_finite(array: np.ndarray, name: str) -> None:
+    if not np.isfinite(array).all():
+        raise ValueError(f"non-finite entries in {name}")
+
+
 # numpy's overflow warnings are silenced: the explicit finiteness checks
 # report a blow-up as TrainingDiverged, which says where it happened.
 @np.errstate(all="ignore")
@@ -287,6 +354,13 @@ def train(
     need "train_ood". Validation OOD separation is measured against
     "val_ood" when present, else against "train_ood" (the held-out
     test_ood split is never touched here).
+
+    Every batch step runs in buffers allocated once per call. The model
+    being trained keeps its weights and biases as views of one flat
+    vector, so the SGD update runs once over all layers. Each step calls
+    the forward, loss, backward and SGD kernels directly: the inputs are
+    checked once per call, and each step checks only that its logits,
+    its loss and its gradient are finite.
     """
     _require_splits(benchmark, "train", "val")
     train_split = benchmark["train"]
@@ -296,39 +370,58 @@ def train(
     val_ood = benchmark.get("val_ood") or benchmark.get("train_ood")
     if val_ood is None:
         raise ValueError("benchmark needs train_ood or val_ood for validation")
-    if model.input_dim != train_split.features.shape[1]:
+    features = np.asarray(train_split.features, dtype=np.float64)
+    labels = train_split.labels
+    if model.input_dim != features.shape[1]:
         raise ValueError("model input dim does not match training features")
-    if train_split.labels.max() >= model.num_classes:
-        raise ValueError("training labels exceed model classes")
+    _check_finite(features, "training features")
+    k = model.num_classes
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError(f"training labels must lie in [0, {k}), got range "
+                         f"[{labels.min()}, {labels.max()}]")
+    if config.objective == "cosine_margin" and k != config.k:
+        raise ValueError(f"params.k = {config.k} but the model has {k} classes")
 
-    model = model.copy()
     spec = OBJECTIVE_TABLE[config.objective]
     params = config.objective_params()
-    state = OptimizerState.zeros(
-        model, config.lr, config.momentum, config.weight_decay
-    )
     shuffle_rng = derive_rng(config.seed, STREAM_SHUFFLE)
 
     ood_features = None
     ood_pos = 0
     if config.needs_ood():
         ood_rng = derive_rng(config.seed, STREAM_OOD_SHUFFLE)
-        ood_features = benchmark["train_ood"].features[
-            ood_rng.permutation(len(benchmark["train_ood"]))
-        ]
+        ood_features = np.asarray(benchmark["train_ood"].features, dtype=np.float64)
+        _check_finite(ood_features, "outlier features")
+        ood_features = ood_features[ood_rng.permutation(len(ood_features))]
 
-    def next_ood_batch(size: int) -> np.ndarray:
+    def next_ood_batch(out: np.ndarray) -> None:
         # cyclic pointer: every outlier is consumed once per wrap
         nonlocal ood_pos
-        rows = np.arange(ood_pos, ood_pos + size)
-        ood_pos = (ood_pos + size) % len(ood_features)
-        return ood_features.take(rows, axis=0, mode="wrap")
+        rows = np.arange(ood_pos, ood_pos + len(out))
+        ood_pos = (ood_pos + len(out)) % len(ood_features)
+        ood_features.take(rows, axis=0, mode="wrap", out=out)
+
+    # The workspace. The model trained here holds views of `flat`.
+    flat = np.concatenate([a.ravel() for a in model.weights + model.biases])
+    model = MlpModel(model.layer_dims, *_layer_views(flat, model.layer_dims),
+                     model.dropout_rate)
+    velocity = np.zeros_like(flat)
+    scratch = np.empty_like(flat)
+    grad = np.empty_like(flat)
+    grads = Gradients(*_layer_views(grad, model.layer_dims))
+    if config.needs_ood():
+        grad_ood = np.empty_like(flat)
+        grads_ood = Gradients(*_layer_views(grad_ood, model.layer_dims))
+    n_train = len(train_split)
+    rows = min(config.batch_size, n_train)
+    full = _BatchBuffers.allocate(model, rows, labels.dtype, config.needs_ood())
+    # the short last batch of an epoch, if any
+    short = full.head(n_train % rows)
 
     history = TrainHistory()
     best_criterion = None
-    best_params: tuple[list, list] | None = None
+    best_params: np.ndarray | None = None
     dropout_counter = 0
-    n_train = len(train_split)
 
     for epoch in range(1, config.epochs + 1):
         perm = shuffle_rng.permutation(n_train)
@@ -337,41 +430,40 @@ def train(
         seen = 0
         for start in range(0, n_train, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            xb = train_split.features[idx]
-            yb = train_split.labels[idx]
-            # forward ignores the seed when dropout is off
-            mask_seed = (
-                derive_seed(config.seed, STREAM_DROPOUT, dropout_counter)
+            n = len(idx)
+            step = full if n == rows else short
+            features.take(idx, axis=0, out=step.trace_in.inputs)
+            labels.take(idx, out=step.labels)
+            rng = (
+                np.random.default_rng(
+                    derive_seed(config.seed, STREAM_DROPOUT, dropout_counter))
                 if model.dropout_rate > 0 else None
             )
-            logits_in, trace_in = forward(model, xb, mode="train", seed=mask_seed)
+            logits_in = forward_into(model, step.trace_in, rng)
             dropout_counter += 1
-            logits_out, trace_out = None, None
-            if config.needs_ood():
-                ob = next_ood_batch(len(idx))
+            logits_out = None
+            if step.trace_out is not None:
+                next_ood_batch(step.trace_out.inputs)
                 # The outlier terms shape the predictive distribution, so
                 # this branch runs without dropout: constraining every
                 # dropout subnetwork to be flat on outliers would erase
                 # the pass-to-pass disagreement that mutual information
                 # measures at test time.
-                logits_out, trace_out = forward(model, ob, mode="eval")
-            if not np.all(np.isfinite(logits_in)) or (
-                logits_out is not None and not np.all(np.isfinite(logits_out))
+                logits_out = forward_into(model, step.trace_out, None)
+            if not np.isfinite(logits_in).all() or (
+                logits_out is not None and not np.isfinite(logits_out).all()
             ):
                 raise TrainingDiverged(
                     f"non-finite logits at epoch {epoch}", history
                 )
-            result = spec.loss(params, logits_in, yb, logits_out)
-            loss = result.loss
-            terms = dict(result.terms)
+            loss, terms = spec.loss(params, logits_in, step.labels, logits_out,
+                                    step.d_in, step.d_out)
 
-            grads = backward(model, trace_in, result.d_logits_in)
-            if result.d_logits_out is not None:
-                ood_grads = backward(model, trace_out, result.d_logits_out)
-                for gw, ow in zip(grads.weights, ood_grads.weights):
-                    gw += ow
-                for gb, ob_ in zip(grads.biases, ood_grads.biases):
-                    gb += ob_
+            backward_into(model, step.trace_in, step.d_in, grads, step.deltas)
+            if logits_out is not None:
+                backward_into(model, step.trace_out, step.d_out, grads_ood,
+                              step.deltas)
+                grad += grad_ood
             if spec.penalty is not None:
                 for name, value in spec.penalty(config, model, grads).items():
                     loss += value
@@ -381,16 +473,16 @@ def train(
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}", history
                 )
-            try:
-                sgd_step(model, grads, state)
-            except DivergenceError as exc:
+            if not np.isfinite(grad).all():
                 raise TrainingDiverged(
-                    f"{exc} (epoch {epoch})", history
-                ) from exc
-            loss_sum += loss * len(idx)
+                    f"non-finite gradient; step aborted (epoch {epoch})", history
+                )
+            sgd_update(flat, grad, velocity, scratch,
+                       config.lr, config.momentum, config.weight_decay)
+            loss_sum += loss * n
             for name, val in terms.items():
-                term_sums[name] = term_sums.get(name, 0.0) + val * len(idx)
-            seen += len(idx)
+                term_sums[name] = term_sums.get(name, 0.0) + val * n
+            seen += n
 
         try:
             val_acc, ent_auc = _validation_metrics(
@@ -417,16 +509,15 @@ def train(
         if best_criterion is None or criterion >= best_criterion:
             best_criterion = criterion
             history.best_epoch = epoch
-            best_params = (
-                [w.copy() for w in model.weights],
-                [b.copy() for b in model.biases],
-            )
+            best_params = flat.copy()
 
     assert best_params is not None
-    if history.best_epoch != config.epochs:
-        history.rollback_applied = True
-        model.weights = best_params[0]
-        model.biases = best_params[1]
+    history.rollback_applied = history.best_epoch != config.epochs
+    # the best epoch's parameters, in arrays of the returned model's own
+    model.weights, model.biases = (
+        [a.copy() for a in part]
+        for part in _layer_views(best_params, model.layer_dims)
+    )
     return model, history
 
 

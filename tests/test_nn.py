@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import subprocess
@@ -371,6 +372,98 @@ def test_optimizer_state_validation():
 
 
 # ---------------------------------------------------------------------------
+# the in-place kernels against the expressions they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_forward(model: MlpModel, x, seed):
+    """forward's arithmetic, one new array per operation."""
+    rng = None if seed is None else np.random.default_rng(seed)
+    pre, hidden, masks = [], [], []
+    a = x
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w.T + b
+        pre.append(z)
+        if l == len(model.weights) - 1:
+            break
+        h = np.maximum(z, 0.0)
+        mask = None
+        if rng is not None:
+            keep = 1.0 - model.dropout_rate
+            mask = (rng.random(h.shape) < keep).astype(np.float64) / keep
+            h = h * mask
+        masks.append(mask)
+        hidden.append(h)
+        a = h
+    return pre, hidden, masks
+
+
+def reference_backward(model: MlpModel, x, pre, hidden, masks, dz):
+    grads_w, grads_b = [None] * len(pre), [None] * len(pre)
+    for l in reversed(range(len(pre))):
+        grads_w[l] = dz.T @ (x if l == 0 else hidden[l - 1])
+        grads_b[l] = dz.sum(axis=0)
+        if l > 0:
+            da = dz @ model.weights[l]
+            if masks[l - 1] is not None:
+                da = da * masks[l - 1]
+            dz = da * (pre[l - 1] > 0.0)
+    return grads_w, grads_b
+
+
+def assert_same_bytes(actual, expected):
+    assert len(actual) == len(expected)
+    for a, e in zip(actual, expected):
+        assert (a is None) == (e is None)
+        if a is not None:
+            assert a.shape == e.shape and a.tobytes() == e.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+    rows=st.integers(1, 70),
+    dropout=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_layer_kernels_equal_the_reference_expressions(dims, rows, dropout, seed):
+    # 0-2 hidden layers; forward, backward and one SGD update must keep
+    # every bit of the expressions the in-place kernels replaced
+    rng = np.random.default_rng(seed)
+    model = init_mlp(dims, dropout_rate=dropout, seed=seed % 1000)
+    for b in model.biases:
+        b[:] = rng.normal(size=b.shape)
+    x = rng.normal(size=(rows, dims[0]))
+    mask_seed = seed if dropout > 0 else None
+    logits, trace = forward(model, x, "train", mask_seed)
+    pre, hidden, masks = reference_forward(model, x, mask_seed)
+    assert logits is trace.pre_activations[-1]
+    assert_same_bytes(trace.pre_activations, pre)
+    assert_same_bytes(trace.hidden_activations, hidden)
+    assert_same_bytes(trace.masks, masks)
+
+    dz = rng.normal(size=logits.shape)
+    grads = backward(model, trace, dz)
+    ref_w, ref_b = reference_backward(model, x, pre, hidden, masks, dz)
+    assert_same_bytes(grads.weights, ref_w)
+    assert_same_bytes(grads.biases, ref_b)
+
+    lr, mu, wd = 0.05, 0.9, 3e-3
+    state = OptimizerState.zeros(model, lr, mu, wd)
+    for v in state.velocity_w + state.velocity_b:
+        v[:] = rng.normal(size=v.shape)
+    expected = []
+    for w, g, v in zip(model.weights + model.biases, ref_w + ref_b,
+                       state.velocity_w + state.velocity_b):
+        v_new = v * mu
+        v_new += g + wd * w
+        expected.append((w - lr * v_new, v_new))
+    sgd_step(model, grads, state)
+    assert_same_bytes(model.weights + model.biases, [w for w, _ in expected])
+    assert_same_bytes(state.velocity_w + state.velocity_b, [v for _, v in expected])
+
+
+# ---------------------------------------------------------------------------
 # save / load
 # ---------------------------------------------------------------------------
 
@@ -495,6 +588,58 @@ def test_one_blas_thread_is_a_no_op_without_the_symbols(monkeypatch):
         assert real_count() == 2
     finally:
         monkeypatch.undo()
+        set_blas_threads(before)
+
+
+def test_blas_symbols_are_looked_up_once_per_process(monkeypatch):
+    readable_blas_threads()
+    opened = []
+    real_cdll = ctypes.CDLL
+
+    def counting_cdll(*args, **kwargs):
+        opened.append(args)
+        return real_cdll(*args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", counting_cdll)
+    before = blas_threads()
+    for _ in range(50):
+        set_blas_threads(set_blas_threads(1))
+        with one_blas_thread():
+            assert blas_threads() == 1
+    assert blas_threads() == before
+    assert opened == []
+
+
+def test_one_blas_thread_survives_overlapping_bodies_on_two_threads():
+    # A enters, B enters, A leaves while B's body still runs, B leaves
+    before = readable_blas_threads()
+    set_blas_threads(2)
+    a_in, a_out, b_in = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def body_a():
+        with one_blas_thread():
+            a_in.set()
+            assert b_in.wait(10)
+        a_out.set()
+
+    def body_b():
+        assert a_in.wait(10)
+        with one_blas_thread():
+            b_in.set()
+            assert a_out.wait(10)
+            seen["inside B after A exits"] = blas_threads()
+
+    try:
+        threads = [threading.Thread(target=f) for f in (body_a, body_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+            assert not t.is_alive()
+        seen["after both"] = blas_threads()
+        assert seen == {"inside B after A exits": 1, "after both": 2}
+    finally:
         set_blas_threads(before)
 
 

@@ -62,6 +62,40 @@ def test_ce_gradient_formula():
     assert res.d_logits_out is None
 
 
+def reference_log_softmax(z):
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 70), k=st.integers(2, 12), lam=st.sampled_from([0.0, 0.7]),
+       seed=st.integers(0, 2**32 - 1))
+def test_in_place_kernels_equal_the_reference_expressions(rows, k, lam, seed):
+    # the expressions cross_entropy_loss and outlier_exposure_loss used
+    # before their kernels wrote into caller buffers
+    rng = np.random.default_rng(seed)
+    z_in = rng.normal(0.0, 3.0, size=(rows, k))
+    z_out = rng.normal(0.0, 3.0, size=(rows, k))
+    y = rng.integers(0, k, size=rows)
+    logp = reference_log_softmax(z_in)
+    ce = float(-logp[np.arange(rows), y].mean())
+    d_in = np.exp(logp)
+    d_in[np.arange(rows), y] -= 1.0
+    d_in /= rows
+    result = cross_entropy_loss(z_in, y)
+    assert result.loss == ce and result.d_logits_in.tobytes() == d_in.tobytes()
+
+    logq = reference_log_softmax(z_out)
+    oe = float(lam * (-logq.mean(axis=1)).mean())
+    d_out = np.zeros_like(z_out)
+    if lam != 0.0:
+        d_out = (lam / rows) * (np.exp(logq) - 1.0 / k)
+    result = outlier_exposure_loss(z_in, y, z_out, lam)
+    assert result.loss == ce + oe
+    assert result.d_logits_in.tobytes() == d_in.tobytes()
+    assert result.d_logits_out.tobytes() == d_out.tobytes()
+
+
 def test_ce_input_validation():
     with pytest.raises(ValueError):
         cross_entropy_loss(np.zeros((2, 3)), np.array([0, 3]))  # label too big

@@ -139,6 +139,37 @@ def test_mc_dropout_rejects_non_finite_logits():
             mc_dropout_predict(model, np.full((4, 2), 1e200), num_passes=3, seed=0)
 
 
+def test_direct_scoring_calls_run_on_one_blas_thread(monkeypatch):
+    import oodkit.scores as scores_mod
+    from oodkit.nn import blas_threads, set_blas_threads
+
+    if blas_threads() is None:
+        pytest.skip("numpy's BLAS exports no thread-count symbols")
+    seen = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            seen.append((fn.__name__, blas_threads()))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(scores_mod, "mc_dropout_probs", spy(scores_mod.mc_dropout_probs))
+    monkeypatch.setattr(scores_mod, "forward", spy(scores_mod.forward))
+    dropout, plain = init_mlp([2, 8, 3], 0.3, seed=0), init_mlp([2, 8, 3], seed=0)
+    x = np.random.default_rng(0).normal(size=(20, 2))
+    before = set_blas_threads(2)
+    try:
+        mc_dropout_predict(dropout, x, 4, seed=1)
+        assert blas_threads() == 2
+        predictive_samples(dropout, x, 4, seed=1)
+        assert blas_threads() == 2
+        predictive_samples(plain, x, 4, seed=1)
+        assert blas_threads() == 2
+    finally:
+        set_blas_threads(before)
+    assert seen == [("mc_dropout_probs", 1)] * 2 + [("forward", 1)]
+
+
 def test_mc_dropout_rejects_bad_pass_count():
     model = init_mlp([2, 8, 3], seed=0)
     with pytest.raises(ValueError):

@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 from oodkit import objectives
 from oodkit.datasynth import CORRUPTION_KINDS, SEVERITIES
 from oodkit.metrics import accuracy, classify
-from oodkit.nn import forward, init_mlp, softmax
+from oodkit.datasynth import DatasetSplit
+from oodkit.nn import OptimizerState, backward, forward, init_mlp, sgd_step, softmax
 from oodkit.scores import (
     mutual_information_score,
     penultimate_features,
     predictive_samples,
 )
-from oodkit.seeding import STREAM_DROPOUT, derive_seed
+from oodkit.seeding import (
+    STREAM_DROPOUT, STREAM_OOD_SHUFFLE, STREAM_SHUFFLE, derive_rng, derive_seed,
+)
 from oodkit.trainer import (
     TrainConfig,
     TrainingDiverged,
@@ -197,16 +200,17 @@ def test_train_calls_each_loss_through_the_objectives_module(
     tiny_benchmark, monkeypatch
 ):
     # a table entry that held the function object would bypass wrappers
-    # installed on the module, such as the benchmark's tracing spans
+    # installed on the module, such as the benchmark's tracing spans. The
+    # step calls each loss's unchecked kernel.
     calls = []
-    for name in ("cross_entropy_loss", "ce_cosine_loss"):
+    for name in ("cross_entropy_into", "ce_cosine_into"):
         def counting(*args, _name=name, _loss=getattr(objectives, name)):
             calls.append(_name)
             return _loss(*args)
 
         monkeypatch.setattr(objectives, name, counting)
-    for objective, loss in (("ce", "cross_entropy_loss"),
-                            ("ce_cosine", "ce_cosine_loss")):
+    for objective, loss in (("ce", "cross_entropy_into"),
+                            ("ce_cosine", "ce_cosine_into")):
         calls.clear()
         cfg = TrainConfig(objective=objective, lam=1.0, epochs=1, batch_size=16)
         train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
@@ -296,6 +300,140 @@ def test_train_diverges_at_huge_lr(tiny_benchmark):
             warnings.simplefilter("ignore", RuntimeWarning)
             train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
     assert err.value.history is not None
+
+
+# Today's batch step, made of the public functions: each checks its
+# inputs and allocates its outputs.
+PUBLIC_LOSSES = {
+    "ce": lambda c, z_in, y, z_out: objectives.cross_entropy_loss(z_in, y),
+    "ce_l1": lambda c, z_in, y, z_out: objectives.cross_entropy_loss(z_in, y),
+    "ce_cosine": lambda c, z_in, y, z_out: objectives.ce_cosine_loss(
+        z_in, y, z_out, c.lam),
+    "cosine_margin": lambda c, z_in, y, z_out: objectives.cosine_margin_ranking_loss(
+        z_in, y, z_out, c.objective_params()),
+    "outlier_exposure": lambda c, z_in, y, z_out: objectives.outlier_exposure_loss(
+        z_in, y, z_out, c.lam),
+}
+
+
+def reference_epoch(cfg: TrainConfig, benchmark, model):
+    """The parameters and mean loss after one epoch of train()'s batch
+    steps, each run as forward -> loss -> backward -> sgd_step."""
+    model = model.copy()
+    state = OptimizerState.zeros(model, cfg.lr, cfg.momentum, cfg.weight_decay)
+    x, y = benchmark["train"].features, benchmark["train"].labels
+    perm = derive_rng(cfg.seed, STREAM_SHUFFLE).permutation(len(x))
+    if cfg.needs_ood():
+        ood = benchmark["train_ood"].features
+        ood = ood[derive_rng(cfg.seed, STREAM_OOD_SHUFFLE).permutation(len(ood))]
+    pos, loss_sum = 0, 0.0
+    for step, start in enumerate(range(0, len(x), cfg.batch_size)):
+        idx = perm[start:start + cfg.batch_size]
+        mask_seed = (derive_seed(cfg.seed, STREAM_DROPOUT, step)
+                     if model.dropout_rate > 0 else None)
+        z_in, trace_in = forward(model, x[idx], "train", mask_seed)
+        z_out = None
+        if cfg.needs_ood():
+            batch = ood.take(np.arange(pos, pos + len(idx)), axis=0, mode="wrap")
+            pos = (pos + len(idx)) % len(ood)
+            z_out, trace_out = forward(model, batch, "eval")
+        result = PUBLIC_LOSSES[cfg.objective](cfg, z_in, y[idx], z_out)
+        grads = backward(model, trace_in, result.d_logits_in)
+        if z_out is not None:
+            ood_grads = backward(model, trace_out, result.d_logits_out)
+            for g, o in zip(grads.weights + grads.biases,
+                            ood_grads.weights + ood_grads.biases):
+                g += o
+        loss = result.loss
+        if cfg.objective == "ce_l1":
+            loss += cfg.ce_l1_strength * sum(float(np.abs(w).sum()) for w in model.weights)
+            for g, w in zip(grads.weights, model.weights):
+                g += cfg.ce_l1_strength * np.sign(w)
+        sgd_step(model, grads, state)
+        loss_sum += loss * len(idx)
+    return model, loss_sum / len(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    objective=st.sampled_from(OBJECTIVES),
+    dropout=st.sampled_from([0.0, 0.3]),
+    hidden=st.sampled_from([(), (5,), (6, 4)]),
+    n_train=st.integers(2, 40),
+    n_ood=st.integers(1, 30),
+    batch_size=st.integers(1, 16),
+    seed=st.integers(0, 2**16),
+)
+def test_buffered_steps_equal_the_public_functions(
+    objective, dropout, hidden, n_train, n_ood, batch_size, seed
+):
+    # 0-2 hidden layers, with and without dropout; a short last batch
+    # whenever batch_size does not divide n_train
+    rng = np.random.default_rng(seed)
+    benchmark = {
+        "train": DatasetSplit(rng.normal(size=(n_train, 2)),
+                              rng.integers(0, 3, n_train), "train"),
+        "val": DatasetSplit(rng.normal(size=(5, 2)), rng.integers(0, 3, 5), "val"),
+        "train_ood": DatasetSplit(3.0 * rng.normal(size=(n_ood, 2)), None, "train_ood"),
+    }
+    cfg = dataclasses.replace(default_config(objective, seed), epochs=1,
+                              batch_size=batch_size)
+    model = init_mlp([2, *hidden, 3], dropout, seed=seed)
+    trained, history = train(cfg, benchmark, model)
+    expected, loss = reference_epoch(cfg, benchmark, model)
+    for a, e in zip(trained.weights + trained.biases, expected.weights + expected.biases):
+        assert a.tobytes() == e.tobytes()
+    assert history.records[0].train_loss == loss
+
+
+def test_non_finite_gradient_diverges_before_the_update(tiny_benchmark, monkeypatch):
+    cfg = TrainConfig(objective="ce", epochs=1, batch_size=16)
+    real_loss, real_update = objectives.cross_entropy_into, trainer_mod.sgd_update
+    losses, params = [], []
+
+    def poisoned(z_in, y, d_in):
+        result = real_loss(z_in, y, d_in)
+        losses.append(result[0])
+        if len(losses) == 3:
+            d_in[0, 0] = np.nan  # the loss stays finite, the gradient does not
+        return result
+
+    def recording_update(param, *args):
+        real_update(param, *args)
+        params.append((param, param.copy()))
+
+    monkeypatch.setattr(objectives, "cross_entropy_into", poisoned)
+    monkeypatch.setattr(trainer_mod, "sgd_update", recording_update)
+    with pytest.raises(TrainingDiverged, match="non-finite gradient"):
+        train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
+    assert np.isfinite(losses).all() and len(losses) == 3
+    # two updates ran; the third step left the parameters as they were
+    assert len(params) == 2
+    live, after_second = params[-1]
+    assert live.tobytes() == after_second.tobytes()
+
+
+def test_train_rejects_a_negative_label(tiny_benchmark):
+    split = tiny_benchmark["train"]
+    labels = split.labels.copy()
+    labels[-1] = -1
+    benchmark = dict(tiny_benchmark, train=DatasetSplit(split.features, labels, "train"))
+    cfg = TrainConfig(objective="ce", epochs=1)
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+        train(cfg, benchmark, fresh_model(cfg, benchmark))
+
+
+def test_a_second_train_call_leaves_the_first_model_alone(tiny_benchmark):
+    cfg = TrainConfig(objective="ce_cosine", lam=1.0, epochs=2, dropout_rate=0.2)
+    model = fresh_model(cfg, tiny_benchmark)
+    first, _ = train(cfg, tiny_benchmark, model)
+    arrays = first.weights + first.biases
+    # the returned model owns its arrays: none is a view of a workspace
+    assert all(a.flags.owndata for a in arrays)
+    before = [a.tobytes() for a in arrays]
+    train(cfg, tiny_benchmark, first)
+    train(cfg, tiny_benchmark, model)
+    assert [a.tobytes() for a in first.weights + first.biases] == before
 
 
 def test_history_round_trips_to_dict(tiny_benchmark):
@@ -436,7 +574,7 @@ def test_train_and_evaluate_run_blas_on_one_thread(tiny_benchmark, monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(trainer_mod, "forward", spy(trainer_mod.forward))
+    monkeypatch.setattr(trainer_mod, "forward_into", spy(trainer_mod.forward_into))
     monkeypatch.setattr(trainer_mod, "predictive_samples",
                         spy(trainer_mod.predictive_samples))
     before = set_blas_threads(2)
@@ -444,7 +582,7 @@ def test_train_and_evaluate_run_blas_on_one_thread(tiny_benchmark, monkeypatch):
         config = dataclasses.replace(default_config("ce_cosine"), epochs=1)
         trained, _ = train(config, tiny_benchmark, fresh_model(config, tiny_benchmark))
         assert blas_threads() == 2
-        assert set(seen) == {("forward", 1), ("predictive_samples", 1)}
+        assert set(seen) == {("forward_into", 1), ("predictive_samples", 1)}
         seen.clear()
         evaluate_model(trained, tiny_benchmark, mc_passes=3)
         assert blas_threads() == 2
