@@ -323,25 +323,31 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def parallel_cpus() -> int:
+    """CPUs this process may spread one call's work over: available_cpus(),
+    or 1 in a process that multiprocessing started, such as a sweep
+    worker, whose siblings already share the CPUs."""
+    # read from sys.modules: `import oodkit` loads no multiprocessing
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
+        return 1
+    return available_cpus()
+
+
 def pass_threads(pass_size: int) -> int:
     """Threads one mc_dropout_probs call may run passes of pass_size
-    masked activations on: one per available CPU, at most
+    masked activations on: one per parallel_cpus(), at most
     MAX_PASS_THREADS.
 
     That is 1 unless numpy's OpenBLAS count reads exactly 1 (inside
     one_blas_thread(), or where the user pinned it; an unreadable count
-    gives 1), the pass masks at least MIN_THREADED_PASS_SIZE activations,
-    and multiprocessing did not start the process. Pass threads on top
-    of BLAS threads, or in pool workers that already share the CPUs,
-    cost more than they buy.
+    gives 1) and the pass masks at least MIN_THREADED_PASS_SIZE
+    activations. Pass threads on top of BLAS threads cost more than they
+    buy.
     """
-    if pass_size < MIN_THREADED_PASS_SIZE:
+    if pass_size < MIN_THREADED_PASS_SIZE or blas_threads() != 1:
         return 1
-    # read from sys.modules: `import oodkit` loads no multiprocessing
-    mp = sys.modules.get("multiprocessing")
-    if (mp is not None and mp.parent_process() is not None) or blas_threads() != 1:
-        return 1
-    return min(MAX_PASS_THREADS, available_cpus())
+    return min(MAX_PASS_THREADS, parallel_cpus())
 
 
 def mc_dropout_probs(model: MlpModel, inputs, seeds) -> np.ndarray:

@@ -76,6 +76,12 @@ def mc_dropout_predict(
     return PredictiveSamples(mc_dropout_probs(model, inputs, seeds))
 
 
+def uses_mc(model: MlpModel, passes: int) -> bool:
+    """Whether predictive_samples draws MC-dropout passes: passes > 1 on a
+    dropout model."""
+    return passes > 1 and model.dropout_rate > 0
+
+
 @one_blas_thread()
 def predictive_samples(
     model: MlpModel, inputs, passes: int, seed: int
@@ -87,7 +93,7 @@ def predictive_samples(
     pass gives a T=1 stack, returned with that pass's trace. Runs under
     one_blas_thread().
     """
-    if passes > 1 and model.dropout_rate > 0:
+    if uses_mc(model, passes):
         return mc_dropout_predict(model, inputs, passes, seed), None
     logits, trace = forward(model, inputs, mode="eval")
     return PredictiveSamples(softmax(logits)[None, :, :]), trace

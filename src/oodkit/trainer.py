@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import signal
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -29,6 +31,7 @@ from .nn import (
     forward_into,
     init_mlp,
     one_blas_thread,
+    parallel_cpus,
     sgd_update,
 )
 from .objectives import ObjectiveParams, require_finite
@@ -41,6 +44,7 @@ from .scores import (
     mahalanobis_score,
     penultimate_features,
     predictive_samples,
+    uses_mc,
 )
 from .seeding import (
     STREAM_CORRUPT,
@@ -258,18 +262,27 @@ VAL_MC_PASSES = 30
 
 
 def _validation_metrics(
-    model: MlpModel, val: DatasetSplit, val_ood: DatasetSplit, mc_seed: int
-) -> tuple[float, float]:
-    """Validation accuracy and entropy AUC under deployment semantics:
-    MC-averaged predictions for a dropout model, one eval pass otherwise."""
-    (s_val, _), (s_ood, _) = predictive_samples_pair(
-        model, val, val_ood, VAL_MC_PASSES, mc_seed
-    )
-    val_acc = accuracy(s_val.mean_probs().argmax(axis=1), val.labels)
-    ent_auc = 100.0 * auc_roc(
-        entropy_score(s_val), entropy_score(s_ood), SCORE_ORIENTATION["entropy"]
-    )
-    return val_acc, ent_auc
+    model: MlpModel, val: DatasetSplit, mc_seed: int
+) -> tuple[float, np.ndarray]:
+    """Validation accuracy and the val split's entropy scores under
+    deployment semantics: MC-averaged predictions for a dropout model,
+    one eval pass otherwise."""
+    samples, _ = predictive_samples(model, val.features, VAL_MC_PASSES, mc_seed)
+    return accuracy(samples.mean_probs().argmax(axis=1), val.labels), entropy_score(samples)
+
+
+def _ood_seed(model: MlpModel, passes: int, mc_seed: int) -> int:
+    """The seed of the OOD split's passes in a pair seeded by mc_seed."""
+    # an eval pass ignores its seed, so the OOD one is derived only for MC
+    return derive_seed(mc_seed, 1) if uses_mc(model, passes) else mc_seed
+
+
+def _ood_entropy(model: MlpModel, val_ood: DatasetSplit, mc_seed: int) -> np.ndarray:
+    """The validation outlier split's entropy scores, for the epoch whose
+    val split is scored with mc_seed."""
+    samples, _ = predictive_samples(model, val_ood.features, VAL_MC_PASSES,
+                                    _ood_seed(model, VAL_MC_PASSES, mc_seed))
+    return entropy_score(samples)
 
 
 def _epoch_criterion(config: TrainConfig, record: EpochRecord) -> tuple:
@@ -277,6 +290,172 @@ def _epoch_criterion(config: TrainConfig, record: EpochRecord) -> tuple:
     if config.needs_ood():
         return (record.val_accuracy, record.val_entropy_auc)
     return (record.val_accuracy, -record.train_loss)
+
+
+def _forks_validation_worker(model: MlpModel) -> bool:
+    """Whether train scores the outlier split in a forked worker: its
+    validation draws MC passes, the process may use two CPUs and is not a
+    multiprocessing worker, the calling thread is the only thread (so no
+    other one holds a lock across the fork), and the platform can fork."""
+    if (not uses_mc(model, VAL_MC_PASSES) or parallel_cpus() < 2
+            or threading.active_count() > 1):
+        return False
+    # imported here: `import oodkit` then loads no multiprocessing
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+# Seconds the validation worker gets to exit once it is told to stop,
+# after which it is killed. A stop waits for at most one epoch's scoring.
+WORKER_EXIT_TIMEOUT_S = 5.0
+
+
+def _validation_worker(conn, parent_conn, model: MlpModel, flat: np.ndarray,
+                       val_ood: DatasetSplit, seed: int, errstate: dict) -> None:
+    """The validation worker's loop. Each request is an epoch number, then
+    the parameters as bytes of `flat`, of which `model`'s arrays are
+    views. It replies with _ood_entropy's scores, or the exception that
+    raised. It returns on a None request or once the pipe closes."""
+    parent_conn.close()
+    # an interrupt is the trainer's to handle; it then stops this worker
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    np.seterr(**errstate)
+    try:
+        while (epoch := conn.recv()) is not None:
+            conn.recv_bytes_into(flat)
+            try:
+                reply = _ood_entropy(model, val_ood,
+                                     derive_seed(seed, STREAM_VAL_MC, epoch))
+            except Exception as exc:
+                reply = exc
+            conn.send(reply)
+    except (EOFError, OSError):
+        pass
+
+
+class _ValidationWorker:
+    """A process, forked once per train call, that scores the validation
+    outlier split for one epoch while the caller trains the next."""
+
+    def __init__(self, model: MlpModel, flat: np.ndarray, val_ood: DatasetSplit,
+                 seed: int):
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        self.conn, child_conn = context.Pipe()
+        self.process = context.Process(
+            target=_validation_worker,
+            args=(child_conn, self.conn, model, flat, val_ood, seed, np.geterr()),
+            daemon=True,
+        )
+        self.process.start()
+        # the worker's end stays open only in the worker, so its exit
+        # reads as EOF here
+        child_conn.close()
+
+    def submit(self, epoch: int, params: np.ndarray) -> None:
+        try:
+            self.conn.send(epoch)
+            self.conn.send_bytes(params)
+        except OSError as exc:
+            raise RuntimeError("the validation worker exited unexpectedly") from exc
+
+    def result(self) -> np.ndarray:
+        """The scores of the oldest submitted epoch not yet returned; raises
+        what scoring raised."""
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise RuntimeError("the validation worker exited unexpectedly") from exc
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    def close(self) -> None:
+        try:
+            self.conn.send(None)
+        except OSError:
+            pass
+        self.conn.close()
+        self.process.join(WORKER_EXIT_TIMEOUT_S)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+
+
+class _Validation:
+    """Per-epoch validation and checkpoint selection for one train call.
+
+    end_epoch(e) keeps a snapshot of the parameters, hands the outlier
+    split to the worker if there is one, scores val on the calling
+    thread and then resolves each epoch whose outlier scores are due:
+    epoch e without a worker, epoch e - 1 with one. Resolving an epoch
+    appends its EpochRecord and applies the selection rule, in epoch
+    order, so the history is the same either way.
+    """
+
+    def __init__(self, config: TrainConfig, model: MlpModel, flat: np.ndarray,
+                 val: DatasetSplit, val_ood: DatasetSplit, history: TrainHistory):
+        self.config, self.model, self.history = config, model, history
+        self.val, self.val_ood = val, val_ood
+        self.pending: list[tuple] = []
+        self.best_criterion = None
+        self.best_params: np.ndarray | None = None
+        self.worker = (_ValidationWorker(model, flat, val_ood, config.seed)
+                       if _forks_validation_worker(model) else None)
+
+    def end_epoch(self, epoch: int, flat: np.ndarray, train_loss: float,
+                  terms: dict[str, float]) -> None:
+        snapshot = flat.copy()
+        mc_seed = derive_seed(self.config.seed, STREAM_VAL_MC, epoch)
+        if self.worker is not None:
+            self.worker.submit(epoch, snapshot)
+        try:
+            val_acc, val_entropy = _validation_metrics(self.model, self.val, mc_seed)
+        except ValueError as exc:
+            # an earlier epoch's failure, still in flight, came first
+            self.drain()
+            raise self._diverged(epoch) from exc
+        self.pending.append((epoch, snapshot, mc_seed, train_loss, terms,
+                             val_acc, val_entropy))
+        while len(self.pending) > (self.worker is not None):
+            self._resolve(*self.pending.pop(0))
+
+    def drain(self) -> None:
+        """Resolve every epoch still pending."""
+        while self.pending:
+            self._resolve(*self.pending.pop(0))
+
+    def close(self) -> None:
+        if self.worker is not None:
+            self.worker.close()
+
+    def _diverged(self, epoch: int) -> TrainingDiverged:
+        # finite but extreme parameters can overflow the validation
+        # forward pass; that is a divergence, not a usage error
+        return TrainingDiverged(f"non-finite validation outputs at epoch {epoch}",
+                                self.history)
+
+    def _resolve(self, epoch, snapshot, mc_seed, train_loss, terms, val_acc,
+                 val_entropy) -> None:
+        try:
+            # without a worker, the model's parameters are still the snapshot's
+            ood_entropy = (self.worker.result() if self.worker is not None
+                           else _ood_entropy(self.model, self.val_ood, mc_seed))
+            ent_auc = 100.0 * auc_roc(val_entropy, ood_entropy,
+                                      SCORE_ORIENTATION["entropy"])
+        except ValueError as exc:
+            raise self._diverged(epoch) from exc
+        record = EpochRecord(epoch, train_loss, terms, val_acc, ent_auc)
+        self.history.records.append(record)
+        criterion = _epoch_criterion(self.config, record)
+        # ties go to the later epoch: the outlier-shaping terms keep
+        # tightening after the validation criterion saturates
+        if self.best_criterion is None or criterion >= self.best_criterion:
+            self.best_criterion = criterion
+            self.history.best_epoch = epoch
+            self.best_params = snapshot
 
 
 def _layer_views(flat: np.ndarray, dims: list[int]) -> tuple[list, list]:
@@ -350,10 +529,11 @@ def train(
 ) -> tuple[MlpModel, TrainHistory]:
     """Train a copy of `model` under the configured objective.
 
-    benchmark needs "train" and "val"; OOD-consuming objectives also
-    need "train_ood". Validation OOD separation is measured against
-    "val_ood" when present, else against "train_ood" (the held-out
-    test_ood split is never touched here).
+    benchmark needs "train" and "val", and every objective needs
+    "val_ood" or "train_ood" for validation: OOD separation is measured
+    against "val_ood" when present, else against "train_ood" (the
+    held-out test_ood split is never touched here). OOD-consuming
+    objectives also train on "train_ood".
 
     Every batch step runs in buffers allocated once per call. The model
     being trained keeps its weights and biases as views of one flat
@@ -361,6 +541,12 @@ def train(
     the forward, loss, backward and SGD kernels directly: the inputs are
     checked once per call, and each step checks only that its logits,
     its loss and its gradient are finite.
+
+    When validation draws MC passes, the process may use two CPUs and is
+    not a multiprocessing worker, the calling thread is the only thread
+    and the platform can fork, a worker process forked for this call
+    scores the outlier split of epoch e while epoch e + 1 trains. The
+    history and the returned model are the same bytes either way.
     """
     _require_splits(benchmark, "train", "val")
     train_split = benchmark["train"]
@@ -419,98 +605,82 @@ def train(
     short = full.head(n_train % rows)
 
     history = TrainHistory()
-    best_criterion = None
-    best_params: np.ndarray | None = None
     dropout_counter = 0
+    validation = _Validation(config, model, flat, val_split, val_ood, history)
+    try:
+        for epoch in range(1, config.epochs + 1):
+            perm = shuffle_rng.permutation(n_train)
+            loss_sum = 0.0
+            term_sums: dict[str, float] = {}
+            seen = 0
+            try:
+                for start in range(0, n_train, config.batch_size):
+                    idx = perm[start:start + config.batch_size]
+                    n = len(idx)
+                    step = full if n == rows else short
+                    features.take(idx, axis=0, out=step.trace_in.inputs)
+                    labels.take(idx, out=step.labels)
+                    rng = (
+                        np.random.default_rng(
+                            derive_seed(config.seed, STREAM_DROPOUT, dropout_counter))
+                        if model.dropout_rate > 0 else None
+                    )
+                    logits_in = forward_into(model, step.trace_in, rng)
+                    dropout_counter += 1
+                    logits_out = None
+                    if step.trace_out is not None:
+                        next_ood_batch(step.trace_out.inputs)
+                        # The outlier terms shape the predictive distribution, so
+                        # this branch runs without dropout: constraining every
+                        # dropout subnetwork to be flat on outliers would erase
+                        # the pass-to-pass disagreement that mutual information
+                        # measures at test time.
+                        logits_out = forward_into(model, step.trace_out, None)
+                    if not np.isfinite(logits_in).all() or (
+                        logits_out is not None and not np.isfinite(logits_out).all()
+                    ):
+                        raise TrainingDiverged(
+                            f"non-finite logits at epoch {epoch}", history
+                        )
+                    loss, terms = spec.loss(params, logits_in, step.labels, logits_out,
+                                            step.d_in, step.d_out)
 
-    for epoch in range(1, config.epochs + 1):
-        perm = shuffle_rng.permutation(n_train)
-        loss_sum = 0.0
-        term_sums: dict[str, float] = {}
-        seen = 0
-        for start in range(0, n_train, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            n = len(idx)
-            step = full if n == rows else short
-            features.take(idx, axis=0, out=step.trace_in.inputs)
-            labels.take(idx, out=step.labels)
-            rng = (
-                np.random.default_rng(
-                    derive_seed(config.seed, STREAM_DROPOUT, dropout_counter))
-                if model.dropout_rate > 0 else None
-            )
-            logits_in = forward_into(model, step.trace_in, rng)
-            dropout_counter += 1
-            logits_out = None
-            if step.trace_out is not None:
-                next_ood_batch(step.trace_out.inputs)
-                # The outlier terms shape the predictive distribution, so
-                # this branch runs without dropout: constraining every
-                # dropout subnetwork to be flat on outliers would erase
-                # the pass-to-pass disagreement that mutual information
-                # measures at test time.
-                logits_out = forward_into(model, step.trace_out, None)
-            if not np.isfinite(logits_in).all() or (
-                logits_out is not None and not np.isfinite(logits_out).all()
-            ):
-                raise TrainingDiverged(
-                    f"non-finite logits at epoch {epoch}", history
-                )
-            loss, terms = spec.loss(params, logits_in, step.labels, logits_out,
-                                    step.d_in, step.d_out)
+                    backward_into(model, step.trace_in, step.d_in, grads, step.deltas)
+                    if logits_out is not None:
+                        backward_into(model, step.trace_out, step.d_out, grads_ood,
+                                      step.deltas)
+                        grad += grad_ood
+                    if spec.penalty is not None:
+                        for name, value in spec.penalty(config, model, grads).items():
+                            loss += value
+                            terms[name] = value
 
-            backward_into(model, step.trace_in, step.d_in, grads, step.deltas)
-            if logits_out is not None:
-                backward_into(model, step.trace_out, step.d_out, grads_ood,
-                              step.deltas)
-                grad += grad_ood
-            if spec.penalty is not None:
-                for name, value in spec.penalty(config, model, grads).items():
-                    loss += value
-                    terms[name] = value
+                    if not np.isfinite(loss):
+                        raise TrainingDiverged(
+                            f"non-finite loss at epoch {epoch}", history
+                        )
+                    if not np.isfinite(grad).all():
+                        raise TrainingDiverged(
+                            f"non-finite gradient; step aborted (epoch {epoch})", history
+                        )
+                    sgd_update(flat, grad, velocity, scratch,
+                               config.lr, config.momentum, config.weight_decay)
+                    loss_sum += loss * n
+                    for name, val in terms.items():
+                        term_sums[name] = term_sums.get(name, 0.0) + val * n
+                    seen += n
+            except TrainingDiverged:
+                # the previous epoch's validation may still be in flight,
+                # and a failure there came first
+                validation.drain()
+                raise
+            validation.end_epoch(epoch, flat, loss_sum / seen,
+                                 {k: v / seen for k, v in term_sums.items()})
+        validation.drain()
+    finally:
+        validation.close()
 
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}", history
-                )
-            if not np.isfinite(grad).all():
-                raise TrainingDiverged(
-                    f"non-finite gradient; step aborted (epoch {epoch})", history
-                )
-            sgd_update(flat, grad, velocity, scratch,
-                       config.lr, config.momentum, config.weight_decay)
-            loss_sum += loss * n
-            for name, val in terms.items():
-                term_sums[name] = term_sums.get(name, 0.0) + val * n
-            seen += n
-
-        try:
-            val_acc, ent_auc = _validation_metrics(
-                model, val_split, val_ood,
-                mc_seed=derive_seed(config.seed, STREAM_VAL_MC, epoch),
-            )
-        except ValueError as exc:
-            # finite but extreme parameters can overflow the validation
-            # forward pass; that is a divergence, not a usage error
-            raise TrainingDiverged(
-                f"non-finite validation outputs at epoch {epoch}", history
-            ) from exc
-        record = EpochRecord(
-            epoch=epoch,
-            train_loss=loss_sum / seen,
-            loss_terms={k: v / seen for k, v in term_sums.items()},
-            val_accuracy=val_acc,
-            val_entropy_auc=ent_auc,
-        )
-        history.records.append(record)
-        criterion = _epoch_criterion(config, record)
-        # ties go to the later epoch: the outlier-shaping terms keep
-        # tightening after the validation criterion saturates
-        if best_criterion is None or criterion >= best_criterion:
-            best_criterion = criterion
-            history.best_epoch = epoch
-            best_params = flat.copy()
-
+    best_params = validation.best_params
     assert best_params is not None
     history.rollback_applied = history.best_epoch != config.epochs
     # the best epoch's parameters, in arrays of the returned model's own
@@ -662,11 +832,10 @@ def predictive_samples_pair(
         return samples, None if trace is None else trace.penultimate_features
 
     s_id, features_id = draw(split_id, mc_seed)
-    # an eval pass ignores its seed, so the OOD one is derived only for MC
-    seed_ood = mc_seed if features_id is not None else derive_seed(mc_seed, 1)
-    return (s_id, features_id), draw(split_ood, seed_ood)
+    return (s_id, features_id), draw(split_ood, _ood_seed(model, passes, mc_seed))
 
 
+@one_blas_thread()
 def score_populations(
     model: MlpModel,
     test_id: DatasetSplit,
@@ -680,7 +849,7 @@ def score_populations(
     The softmax kinds come from one draw of predictive samples. Given
     train_split, Mahalanobis scores over penultimate features, fit on
     that split, are added; a test split scored by one eval pass reuses
-    that pass's features.
+    that pass's features. Runs under one_blas_thread().
     """
     (s_id, features_id), (s_ood, features_ood) = predictive_samples_pair(
         model, test_id, test_ood, mc_passes, derive_seed(seed, STREAM_MC)

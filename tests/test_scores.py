@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodkit.datasynth import make_default_benchmark
+from oodkit.datasynth import DatasetSplit, make_default_benchmark
 from oodkit.nn import forward, init_mlp, softmax
 from oodkit.scores import (
     PredictiveSamples,
@@ -21,6 +21,8 @@ from oodkit.scores import (
     write_score_dump,
 )
 from oodkit.seeding import STREAM_MC, derive_seed
+from oodkit.trainer import score_populations
+import oodkit.trainer as trainer_mod
 
 LN3 = float(np.log(3.0))
 
@@ -155,8 +157,11 @@ def test_direct_scoring_calls_run_on_one_blas_thread(monkeypatch):
 
     monkeypatch.setattr(scores_mod, "mc_dropout_probs", spy(scores_mod.mc_dropout_probs))
     monkeypatch.setattr(scores_mod, "forward", spy(scores_mod.forward))
+    for name in ("fit_mahalanobis", "penultimate_features", "mahalanobis_score"):
+        monkeypatch.setattr(trainer_mod, name, spy(getattr(trainer_mod, name)))
     dropout, plain = init_mlp([2, 8, 3], 0.3, seed=0), init_mlp([2, 8, 3], seed=0)
     x = np.random.default_rng(0).normal(size=(20, 2))
+    split = DatasetSplit(x, np.arange(20) % 3, "train")
     before = set_blas_threads(2)
     try:
         mc_dropout_predict(dropout, x, 4, seed=1)
@@ -165,9 +170,15 @@ def test_direct_scoring_calls_run_on_one_blas_thread(monkeypatch):
         assert blas_threads() == 2
         predictive_samples(plain, x, 4, seed=1)
         assert blas_threads() == 2
+        seen.append("score_populations")
+        score_populations(dropout, split, split, mc_passes=4, train_split=split)
+        assert blas_threads() == 2
     finally:
         set_blas_threads(before)
-    assert seen == [("mc_dropout_probs", 1)] * 2 + [("forward", 1)]
+    mahalanobis = [("penultimate_features", 1), ("forward", 1), ("fit_mahalanobis", 1)]
+    mahalanobis += [("penultimate_features", 1), ("forward", 1), ("mahalanobis_score", 1)] * 2
+    assert seen == ([("mc_dropout_probs", 1)] * 2 + [("forward", 1), "score_populations"]
+                    + [("mc_dropout_probs", 1)] * 2 + mahalanobis)
 
 
 def test_mc_dropout_rejects_bad_pass_count():

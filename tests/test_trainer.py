@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -17,7 +19,8 @@ from oodkit.scores import (
     predictive_samples,
 )
 from oodkit.seeding import (
-    STREAM_DROPOUT, STREAM_OOD_SHUFFLE, STREAM_SHUFFLE, derive_rng, derive_seed,
+    STREAM_DROPOUT, STREAM_OOD_SHUFFLE, STREAM_SHUFFLE, STREAM_VAL_MC, derive_rng,
+    derive_seed,
 )
 from oodkit.trainer import (
     TrainConfig,
@@ -31,6 +34,7 @@ from oodkit.trainer import (
     sweep,
     train,
 )
+import oodkit.nn as nn_mod
 import oodkit.trainer as trainer_mod
 
 OBJECTIVES = ("ce", "ce_l1", "ce_cosine", "cosine_margin", "outlier_exposure")
@@ -589,6 +593,260 @@ def test_train_and_evaluate_run_blas_on_one_thread(tiny_benchmark, monkeypatch):
         assert set(seen) == {("predictive_samples", 1)}
     finally:
         set_blas_threads(before)
+
+
+# ---------------------------------------------------------------------------
+# the validation worker
+# ---------------------------------------------------------------------------
+
+
+def mc_config(objective: str, epochs: int) -> TrainConfig:
+    """objective's defaults with dropout, so its validation draws MC passes."""
+    cfg = default_config(objective, seed=3)
+    return dataclasses.replace(cfg, epochs=epochs, dropout_rate=cfg.dropout_rate or 0.2)
+
+
+@pytest.fixture
+def started_workers(monkeypatch):
+    """The validation workers train starts during the test."""
+    started = []
+    real = trainer_mod._ValidationWorker.__init__
+
+    def recording(self, *args):
+        real(self, *args)
+        started.append(self)
+
+    monkeypatch.setattr(trainer_mod._ValidationWorker, "__init__", recording)
+    return started
+
+
+def train_outcome(cfg: TrainConfig, benchmark):
+    """(parameter bytes, history) of a train call, or (message, partial
+    history) of the TrainingDiverged it raised."""
+    try:
+        model, history = train(cfg, benchmark, fresh_model(cfg, benchmark))
+    except TrainingDiverged as exc:
+        return str(exc), exc.history.to_dict()
+    return [a.tobytes() for a in model.weights + model.biases], history.to_dict()
+
+
+def both_paths(cfg: TrainConfig, benchmark, monkeypatch, started, steps=None):
+    """train_outcome with the validation worker, then inline on one CPU;
+    and, given count_steps' list, the batch steps each call ran."""
+    outcomes, counts = [], []
+    for cpus in (2, 1):
+        monkeypatch.setattr(nn_mod, "available_cpus", lambda cpus=cpus: cpus)
+        if steps is not None:
+            steps.clear()
+        outcomes.append(train_outcome(cfg, benchmark))
+        counts.append(None if steps is None else len(steps))
+        assert len(started) == 1
+    return outcomes, counts
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 3])
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_the_validation_worker_changes_no_output(
+    objective, epochs, tiny_benchmark, monkeypatch, started_workers
+):
+    (piped, inline), _ = both_paths(mc_config(objective, epochs), tiny_benchmark,
+                                    monkeypatch, started_workers)
+    assert piped == inline
+    assert len(piped[1]["records"]) == epochs
+
+
+def count_steps(monkeypatch, fail_at=None, error=None) -> list:
+    """Count ce_cosine's batch steps in a list; step number fail_at raises
+    error, or returns a NaN loss where error is None."""
+    steps = []
+    real = objectives.ce_cosine_into
+
+    def counting(*args):
+        steps.append(1)
+        loss, terms = real(*args)
+        if len(steps) == fail_at:
+            if error is not None:
+                raise error
+            loss = np.nan
+        return loss, terms
+
+    monkeypatch.setattr(objectives, "ce_cosine_into", counting)
+    return steps
+
+
+def batches_per_epoch(cfg: TrainConfig, benchmark) -> int:
+    return -(-len(benchmark["train"]) // cfg.batch_size)
+
+
+def fail_validation(monkeypatch, name: str, cfg: TrainConfig, epoch: int) -> None:
+    """Make trainer.<name>, which takes the epoch's validation seed last,
+    raise at epoch, as non-finite outputs do."""
+    real = getattr(trainer_mod, name)
+    seed = derive_seed(cfg.seed, STREAM_VAL_MC, epoch)
+
+    def failing(*args):
+        if args[-1] == seed:
+            raise ValueError("non-finite entries in input batch")
+        return real(*args)
+
+    monkeypatch.setattr(trainer_mod, name, failing)
+
+
+@pytest.mark.parametrize("name", ["_ood_entropy", "_validation_metrics"])
+@pytest.mark.parametrize("epoch", [1, 2])
+def test_a_validation_failure_raises_with_the_earlier_records(
+    name, epoch, tiny_benchmark, monkeypatch, started_workers
+):
+    cfg = mc_config("ce_cosine", epochs=4)
+    fail_validation(monkeypatch, name, cfg, epoch)
+    steps = count_steps(monkeypatch)
+    (piped, inline), counts = both_paths(cfg, tiny_benchmark, monkeypatch,
+                                         started_workers, steps)
+    assert piped == inline
+    message, history = piped
+    assert message == f"non-finite validation outputs at epoch {epoch}"
+    assert len(history["records"]) == epoch - 1
+    # the worker's failure at epoch e shows once epoch e + 1 has trained
+    batches = batches_per_epoch(cfg, tiny_benchmark)
+    assert counts == [(epoch + (name == "_ood_entropy")) * batches, epoch * batches]
+
+
+@pytest.mark.parametrize("validation_fails", [False, True])
+def test_a_step_divergence_resolves_the_previous_epoch_first(
+    validation_fails, tiny_benchmark, monkeypatch, started_workers
+):
+    cfg = mc_config("ce_cosine", epochs=4)
+    if validation_fails:
+        fail_validation(monkeypatch, "_ood_entropy", cfg, 2)
+    # the first step of epoch 3 diverges
+    steps = count_steps(monkeypatch, fail_at=2 * batches_per_epoch(cfg, tiny_benchmark) + 1)
+    (piped, inline), _ = both_paths(cfg, tiny_benchmark, monkeypatch, started_workers,
+                                    steps)
+    assert piped == inline
+    message, history = piped
+    if validation_fails:
+        # epoch 2's failed validation still wins, with epoch 1's record
+        assert message == "non-finite validation outputs at epoch 2"
+        assert len(history["records"]) == 1
+    else:
+        assert message == "non-finite loss at epoch 3"
+        assert [r["epoch"] for r in history["records"]] == [1, 2]
+
+
+def test_huge_steps_diverge_the_same_with_the_worker(
+    tiny_benchmark, monkeypatch, started_workers
+):
+    cfg = dataclasses.replace(mc_config("ce_cosine", epochs=3), lr=1e200)
+    (piped, inline), _ = both_paths(cfg, tiny_benchmark, monkeypatch, started_workers)
+    assert piped == inline
+    assert piped[0].startswith("non-finite")
+
+
+@pytest.mark.parametrize("ending", ["return", "diverged", "interrupt"])
+def test_train_leaves_no_child_behind(
+    ending, tiny_benchmark, monkeypatch, started_workers
+):
+    import multiprocessing
+
+    cfg = mc_config("ce_cosine", epochs=3)
+    batches = batches_per_epoch(cfg, tiny_benchmark)
+    monkeypatch.setattr(nn_mod, "available_cpus", lambda: 2)
+    if ending == "return":
+        train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
+    elif ending == "diverged":
+        count_steps(monkeypatch, fail_at=batches + 1)
+        with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 2"):
+            train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
+    else:
+        count_steps(monkeypatch, fail_at=batches + 1, error=KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
+    [worker] = started_workers
+    assert multiprocessing.active_children() == []
+    # it stopped when told to; it was not killed
+    assert worker.process.exitcode == 0
+
+
+def worker_on(benchmark):
+    """A validation worker for a small dropout model, with the model, the
+    flat vector its parameters view, and the outlier split."""
+    model = init_mlp([2, 8, 3], dropout_rate=0.3, seed=0)
+    flat = np.concatenate([a.ravel() for a in model.weights + model.biases])
+    model = trainer_mod.MlpModel(model.layer_dims,
+                                 *trainer_mod._layer_views(flat, model.layer_dims),
+                                 model.dropout_rate)
+    split = benchmark["train_ood"]
+    return trainer_mod._ValidationWorker(model, flat, split, 7), model, flat, split
+
+
+def test_the_worker_scores_what_it_is_sent_and_exits_on_eof(tiny_benchmark):
+    worker, model, flat, split = worker_on(tiny_benchmark)
+    try:
+        params = flat * 1.5
+        worker.submit(4, params)
+        flat[:] = params
+        expected = trainer_mod._ood_entropy(model, split,
+                                            derive_seed(7, STREAM_VAL_MC, 4))
+        assert worker.result().tobytes() == expected.tobytes()
+        # the pipe closes with no stop message
+        worker.conn.close()
+        worker.process.join(60)
+        assert worker.process.exitcode == 0
+    finally:
+        if worker.process.is_alive():
+            worker.process.kill()
+            worker.process.join()
+
+
+def test_train_raises_when_the_worker_dies(tiny_benchmark, monkeypatch, started_workers):
+    import multiprocessing
+
+    def dying(*args):
+        # only ever in the worker: the inline path would end the test run
+        assert multiprocessing.parent_process() is not None
+        os._exit(3)
+
+    monkeypatch.setattr(nn_mod, "available_cpus", lambda: 2)
+    monkeypatch.setattr(trainer_mod, "_ood_entropy", dying)
+    cfg = mc_config("ce_cosine", epochs=3)
+    with pytest.raises(RuntimeError, match="validation worker exited unexpectedly"):
+        train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
+    assert started_workers[0].process.exitcode == 3
+
+
+def test_the_worker_rule_falls_back_inline(tiny_benchmark, monkeypatch, started_workers):
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    forks = trainer_mod._forks_validation_worker
+    mc = init_mlp([2, 8, 3], dropout_rate=0.2, seed=0)
+    monkeypatch.setattr(nn_mod, "available_cpus", lambda: 2)
+    assert forks(mc)
+    # a dropout-free model validates on one eval pass
+    assert not forks(init_mlp([2, 8, 3], seed=0))
+    # in a pool worker (which inherits the patch)
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert not pool.submit(forks, mc).result(timeout=60)
+    # with a second thread alive, which a fork would not copy
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert not forks(mc)
+        cfg = mc_config("ce_cosine", epochs=1)
+        train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
+        assert started_workers == []
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive()
+    # where the platform cannot fork
+    with monkeypatch.context() as patch:
+        patch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert not forks(mc)
+    # on one CPU
+    monkeypatch.setattr(nn_mod, "available_cpus", lambda: 1)
+    assert not forks(mc)
 
 
 # ---------------------------------------------------------------------------
