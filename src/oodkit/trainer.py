@@ -397,7 +397,7 @@ class _Validation:
 
     def __init__(self, config: TrainConfig, model: MlpModel, flat: np.ndarray,
                  val: DatasetSplit, val_ood: DatasetSplit, history: TrainHistory):
-        self.config, self.model, self.history = config, model, history
+        self.config, self.model, self.flat, self.history = config, model, flat, history
         self.val, self.val_ood = val, val_ood
         self.pending: list[tuple] = []
         self.best_criterion = None
@@ -405,9 +405,8 @@ class _Validation:
         self.worker = (_ValidationWorker(model, flat, val_ood, config.seed)
                        if _forks_validation_worker(model) else None)
 
-    def end_epoch(self, epoch: int, flat: np.ndarray, train_loss: float,
-                  terms: dict[str, float]) -> None:
-        snapshot = flat.copy()
+    def end_epoch(self, epoch: int, train_loss: float, terms: dict[str, float]) -> None:
+        snapshot = self.flat.copy()
         mc_seed = derive_seed(self.config.seed, STREAM_VAL_MC, epoch)
         if self.worker is not None:
             self.worker.submit(epoch, snapshot)
@@ -419,12 +418,11 @@ class _Validation:
             raise self._diverged(epoch) from exc
         self.pending.append((epoch, snapshot, mc_seed, train_loss, terms,
                              val_acc, val_entropy))
-        while len(self.pending) > (self.worker is not None):
-            self._resolve(*self.pending.pop(0))
+        self.drain(keep=self.worker is not None)
 
-    def drain(self) -> None:
-        """Resolve every epoch still pending."""
-        while self.pending:
+    def drain(self, keep: int = 0) -> None:
+        """Resolve the pending epochs, oldest first, until `keep` are left."""
+        while len(self.pending) > keep:
             self._resolve(*self.pending.pop(0))
 
     def close(self) -> None:
@@ -674,7 +672,7 @@ def train(
                 # and a failure there came first
                 validation.drain()
                 raise
-            validation.end_epoch(epoch, flat, loss_sum / seen,
+            validation.end_epoch(epoch, loss_sum / seen,
                                  {k: v / seen for k, v in term_sums.items()})
         validation.drain()
     finally:

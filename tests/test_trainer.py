@@ -767,20 +767,15 @@ def test_train_leaves_no_child_behind(
     assert worker.process.exitcode == 0
 
 
-def worker_on(benchmark):
-    """A validation worker for a small dropout model, with the model, the
-    flat vector its parameters view, and the outlier split."""
+def test_the_worker_scores_what_it_is_sent_and_exits_on_eof(tiny_benchmark):
     model = init_mlp([2, 8, 3], dropout_rate=0.3, seed=0)
     flat = np.concatenate([a.ravel() for a in model.weights + model.biases])
+    # the worker writes what it is sent into flat, which the model views
     model = trainer_mod.MlpModel(model.layer_dims,
                                  *trainer_mod._layer_views(flat, model.layer_dims),
                                  model.dropout_rate)
-    split = benchmark["train_ood"]
-    return trainer_mod._ValidationWorker(model, flat, split, 7), model, flat, split
-
-
-def test_the_worker_scores_what_it_is_sent_and_exits_on_eof(tiny_benchmark):
-    worker, model, flat, split = worker_on(tiny_benchmark)
+    split = tiny_benchmark["train_ood"]
+    worker = trainer_mod._ValidationWorker(model, flat, split, 7)
     try:
         params = flat * 1.5
         worker.submit(4, params)
