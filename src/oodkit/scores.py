@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (
-    ForwardTrace, MlpModel, forward, mc_dropout_probs, one_blas_thread, softmax,
+    ForwardTrace, MlpModel, forward, forward_into, mc_dropout_probs, one_blas_thread,
+    softmax,
 )
 from .seeding import STREAM_MC, derive_seed
 
@@ -84,18 +85,22 @@ def uses_mc(model: MlpModel, passes: int) -> bool:
 
 @one_blas_thread()
 def predictive_samples(
-    model: MlpModel, inputs, passes: int, seed: int
+    model: MlpModel, inputs, passes: int, seed: int, trace: ForwardTrace | None = None
 ) -> tuple[PredictiveSamples, ForwardTrace | None]:
     """The model's predictive distribution on `inputs`, as it deploys.
 
     A dropout model with passes > 1 gets `passes` MC-dropout passes
     seeded by `seed`, and the trace is None. Otherwise one eval-mode
-    pass gives a T=1 stack, returned with that pass's trace. Runs under
-    one_blas_thread().
+    pass gives a T=1 stack, returned with that pass's trace; given the
+    trace an earlier call on the same inputs returned, the pass runs in
+    its buffers again. Runs under one_blas_thread().
     """
     if uses_mc(model, passes):
         return mc_dropout_predict(model, inputs, passes, seed), None
-    logits, trace = forward(model, inputs, mode="eval")
+    if trace is None:
+        logits, trace = forward(model, inputs, mode="eval")
+    else:
+        logits = forward_into(model, trace, None)
     return PredictiveSamples(softmax(logits)[None, :, :]), trace
 
 

@@ -262,13 +262,15 @@ VAL_MC_PASSES = 30
 
 
 def _validation_metrics(
-    model: MlpModel, val: DatasetSplit, mc_seed: int
-) -> tuple[float, np.ndarray]:
+    model: MlpModel, val: DatasetSplit, mc_seed: int, trace: ForwardTrace | None = None
+) -> tuple[float, np.ndarray, ForwardTrace | None]:
     """Validation accuracy and the val split's entropy scores under
     deployment semantics: MC-averaged predictions for a dropout model,
-    one eval pass otherwise."""
-    samples, _ = predictive_samples(model, val.features, VAL_MC_PASSES, mc_seed)
-    return accuracy(samples.mean_probs().argmax(axis=1), val.labels), entropy_score(samples)
+    one eval pass otherwise; and the trace to pass back next epoch."""
+    samples, trace = predictive_samples(model, val.features, VAL_MC_PASSES, mc_seed,
+                                        trace)
+    val_acc = accuracy(samples.mean_probs().argmax(axis=1), val.labels)
+    return val_acc, entropy_score(samples), trace
 
 
 def _ood_seed(model: MlpModel, passes: int, mc_seed: int) -> int:
@@ -277,12 +279,15 @@ def _ood_seed(model: MlpModel, passes: int, mc_seed: int) -> int:
     return derive_seed(mc_seed, 1) if uses_mc(model, passes) else mc_seed
 
 
-def _ood_entropy(model: MlpModel, val_ood: DatasetSplit, mc_seed: int) -> np.ndarray:
+def _ood_entropy(
+    model: MlpModel, val_ood: DatasetSplit, mc_seed: int, trace: ForwardTrace | None = None
+) -> tuple[np.ndarray, ForwardTrace | None]:
     """The validation outlier split's entropy scores, for the epoch whose
-    val split is scored with mc_seed."""
-    samples, _ = predictive_samples(model, val_ood.features, VAL_MC_PASSES,
-                                    _ood_seed(model, VAL_MC_PASSES, mc_seed))
-    return entropy_score(samples)
+    val split is scored with mc_seed; and the trace to pass back next
+    epoch."""
+    samples, trace = predictive_samples(model, val_ood.features, VAL_MC_PASSES,
+                                        _ood_seed(model, VAL_MC_PASSES, mc_seed), trace)
+    return entropy_score(samples), trace
 
 
 def _epoch_criterion(config: TrainConfig, record: EpochRecord) -> tuple:
@@ -325,8 +330,8 @@ def _validation_worker(conn, parent_conn, model: MlpModel, flat: np.ndarray,
         while (epoch := conn.recv()) is not None:
             conn.recv_bytes_into(flat)
             try:
-                reply = _ood_entropy(model, val_ood,
-                                     derive_seed(seed, STREAM_VAL_MC, epoch))
+                reply, _ = _ood_entropy(model, val_ood,
+                                        derive_seed(seed, STREAM_VAL_MC, epoch))
             except Exception as exc:
                 reply = exc
             conn.send(reply)
@@ -400,6 +405,10 @@ class _Validation:
         self.config, self.model, self.flat, self.history = config, model, flat, history
         self.val, self.val_ood = val, val_ood
         self.pending: list[tuple] = []
+        # An eval pass reruns in its first epoch's buffers: allocated anew,
+        # the outlier split's 0.5 MB arrays made the allocator return and
+        # refault about 2 MB per epoch in some processes.
+        self.val_trace = self.ood_trace = None
         self.best_criterion = None
         self.best_params: np.ndarray | None = None
         self.worker = (_ValidationWorker(model, flat, val_ood, config.seed)
@@ -411,7 +420,8 @@ class _Validation:
         if self.worker is not None:
             self.worker.submit(epoch, snapshot)
         try:
-            val_acc, val_entropy = _validation_metrics(self.model, self.val, mc_seed)
+            val_acc, val_entropy, self.val_trace = _validation_metrics(
+                self.model, self.val, mc_seed, self.val_trace)
         except ValueError as exc:
             # an earlier epoch's failure, still in flight, came first
             self.drain()
@@ -438,9 +448,12 @@ class _Validation:
     def _resolve(self, epoch, snapshot, mc_seed, train_loss, terms, val_acc,
                  val_entropy) -> None:
         try:
-            # without a worker, the model's parameters are still the snapshot's
-            ood_entropy = (self.worker.result() if self.worker is not None
-                           else _ood_entropy(self.model, self.val_ood, mc_seed))
+            if self.worker is not None:
+                ood_entropy = self.worker.result()
+            else:
+                # the model's parameters are still the snapshot's
+                ood_entropy, self.ood_trace = _ood_entropy(
+                    self.model, self.val_ood, mc_seed, self.ood_trace)
             ent_auc = 100.0 * auc_roc(val_entropy, ood_entropy,
                                       SCORE_ORIENTATION["entropy"])
         except ValueError as exc:

@@ -595,6 +595,23 @@ def test_train_and_evaluate_run_blas_on_one_thread(tiny_benchmark, monkeypatch):
         set_blas_threads(before)
 
 
+def test_eval_pass_validation_allocates_its_buffers_once(tiny_benchmark, monkeypatch):
+    import oodkit.scores as scores_mod
+
+    calls = []
+    real = scores_mod.forward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scores_mod, "forward", counting)
+    cfg = TrainConfig(objective="ce", epochs=3)
+    train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
+    # val and the outlier split, in epoch 1; later epochs reuse the traces
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # the validation worker
 # ---------------------------------------------------------------------------
@@ -679,13 +696,13 @@ def batches_per_epoch(cfg: TrainConfig, benchmark) -> int:
 
 
 def fail_validation(monkeypatch, name: str, cfg: TrainConfig, epoch: int) -> None:
-    """Make trainer.<name>, which takes the epoch's validation seed last,
+    """Make trainer.<name>, which takes the epoch's validation seed third,
     raise at epoch, as non-finite outputs do."""
     real = getattr(trainer_mod, name)
     seed = derive_seed(cfg.seed, STREAM_VAL_MC, epoch)
 
     def failing(*args):
-        if args[-1] == seed:
+        if args[2] == seed:
             raise ValueError("non-finite entries in input batch")
         return real(*args)
 
@@ -780,8 +797,8 @@ def test_the_worker_scores_what_it_is_sent_and_exits_on_eof(tiny_benchmark):
         params = flat * 1.5
         worker.submit(4, params)
         flat[:] = params
-        expected = trainer_mod._ood_entropy(model, split,
-                                            derive_seed(7, STREAM_VAL_MC, 4))
+        expected, _ = trainer_mod._ood_entropy(model, split,
+                                               derive_seed(7, STREAM_VAL_MC, 4))
         assert worker.result().tobytes() == expected.tobytes()
         # the pipe closes with no stop message
         worker.conn.close()
