@@ -24,7 +24,7 @@ def leaves_no_child_or_thread():
     threads = [t for t in threading.enumerate() if t not in before and t.is_alive()]
     for child in children:
         child.kill()
-        child.join()
+        child.join(60)
     assert not children, f"the test left child processes alive: {children}"
     assert not threads, f"the test left threads running: {threads}"
 

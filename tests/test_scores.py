@@ -175,8 +175,9 @@ def test_direct_scoring_calls_run_on_one_blas_thread(monkeypatch):
         assert blas_threads() == 2
     finally:
         set_blas_threads(before)
-    mahalanobis = [("penultimate_features", 1), ("forward", 1), ("fit_mahalanobis", 1)]
-    mahalanobis += [("penultimate_features", 1), ("forward", 1), ("mahalanobis_score", 1)] * 2
+    features = [("penultimate_features", 1), ("forward", 1)]
+    mahalanobis = features + [("fit_mahalanobis", 1)]
+    mahalanobis += (features + [("mahalanobis_score", 1)]) * 2
     assert seen == ([("mc_dropout_probs", 1)] * 2 + [("forward", 1), "score_populations"]
                     + [("mc_dropout_probs", 1)] * 2 + mahalanobis)
 
