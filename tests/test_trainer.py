@@ -626,6 +626,10 @@ def mc_config(objective: str, epochs: int) -> TrainConfig:
 @pytest.fixture
 def started_workers(monkeypatch):
     """The validation workers train starts during the test."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the validation worker needs the fork start method")
     started = []
     real = trainer_mod._ValidationWorker.__init__
 
