@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (
-    ForwardTrace, MlpModel, forward, forward_into, mc_dropout_probs, one_blas_thread,
-    softmax,
+    ForwardTrace, MlpModel, forward, mc_dropout_probs, one_blas_thread, softmax,
 )
 from .seeding import STREAM_MC, derive_seed
 
@@ -85,22 +84,18 @@ def uses_mc(model: MlpModel, passes: int) -> bool:
 
 @one_blas_thread()
 def predictive_samples(
-    model: MlpModel, inputs, passes: int, seed: int, trace: ForwardTrace | None = None
+    model: MlpModel, inputs, passes: int, seed: int
 ) -> tuple[PredictiveSamples, ForwardTrace | None]:
     """The model's predictive distribution on `inputs`, as it deploys.
 
     A dropout model with passes > 1 gets `passes` MC-dropout passes
     seeded by `seed`, and the trace is None. Otherwise one eval-mode
-    pass gives a T=1 stack, returned with that pass's trace; given the
-    trace an earlier call on the same inputs returned, the pass runs in
-    its buffers again. Runs under one_blas_thread().
+    pass gives a T=1 stack, returned with that pass's trace. Runs under
+    one_blas_thread().
     """
     if uses_mc(model, passes):
         return mc_dropout_predict(model, inputs, passes, seed), None
-    if trace is None:
-        logits, trace = forward(model, inputs, mode="eval")
-    else:
-        logits = forward_into(model, trace, None)
+    logits, trace = forward(model, inputs, mode="eval")
     return PredictiveSamples(softmax(logits)[None, :, :]), trace
 
 

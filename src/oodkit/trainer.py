@@ -33,6 +33,7 @@ from .nn import (
     one_blas_thread,
     parallel_cpus,
     sgd_update,
+    softmax,
 )
 from .objectives import ObjectiveParams, require_finite
 from .scores import (
@@ -261,14 +262,26 @@ def _require_splits(benchmark: dict[str, DatasetSplit], *roles: str) -> None:
 VAL_MC_PASSES = 30
 
 
+def _predictive(
+    model: MlpModel, split: DatasetSplit, seed: int, trace: ForwardTrace | None
+) -> tuple[PredictiveSamples, ForwardTrace | None]:
+    """predictive_samples over VAL_MC_PASSES on split, except that an eval
+    pass reruns in the buffers of `trace`, the one an earlier call on the
+    same split returned. Allocated anew, the outlier split's 0.5 MB arrays
+    made the allocator return and refault about 2 MB per epoch in some
+    processes."""
+    if trace is None or uses_mc(model, VAL_MC_PASSES):
+        return predictive_samples(model, split.features, VAL_MC_PASSES, seed)
+    return PredictiveSamples(softmax(forward_into(model, trace, None))[None]), trace
+
+
 def _validation_metrics(
     model: MlpModel, val: DatasetSplit, mc_seed: int, trace: ForwardTrace | None = None
 ) -> tuple[float, np.ndarray, ForwardTrace | None]:
     """Validation accuracy and the val split's entropy scores under
     deployment semantics: MC-averaged predictions for a dropout model,
     one eval pass otherwise; and the trace to pass back next epoch."""
-    samples, trace = predictive_samples(model, val.features, VAL_MC_PASSES, mc_seed,
-                                        trace)
+    samples, trace = _predictive(model, val, mc_seed, trace)
     val_acc = accuracy(samples.mean_probs().argmax(axis=1), val.labels)
     return val_acc, entropy_score(samples), trace
 
@@ -285,8 +298,8 @@ def _ood_entropy(
     """The validation outlier split's entropy scores, for the epoch whose
     val split is scored with mc_seed; and the trace to pass back next
     epoch."""
-    samples, trace = predictive_samples(model, val_ood.features, VAL_MC_PASSES,
-                                        _ood_seed(model, VAL_MC_PASSES, mc_seed), trace)
+    samples, trace = _predictive(model, val_ood, _ood_seed(model, VAL_MC_PASSES, mc_seed),
+                                 trace)
     return entropy_score(samples), trace
 
 
@@ -311,26 +324,26 @@ def _forks_validation_worker(model: MlpModel) -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-# Seconds the validation worker gets to exit once it is told to stop,
-# after which it is killed. A stop waits for at most one epoch's scoring.
+# Seconds the validation worker gets to exit once its pipe closes, after
+# which it is killed. A stop waits for at most one epoch's scoring.
 WORKER_EXIT_TIMEOUT_S = 5.0
 
 
-def _validation_worker(conn, parent_conn, model: MlpModel, flat: np.ndarray,
-                       val_ood: DatasetSplit, seed: int, errstate: dict) -> None:
-    """The validation worker's loop. Each request is an epoch number, then
-    the parameters as bytes of `flat`, of which `model`'s arrays are
-    views. It replies with _ood_entropy's scores, or the exception that
-    raised. It returns on a None request or once the pipe closes."""
+def _validation_worker(conn, parent_conn, models: list[MlpModel], val_ood: DatasetSplit,
+                       seed: int, errstate: dict) -> None:
+    """The validation worker's loop. Each request is an epoch number e,
+    whose parameters models[e % 2] views. It replies with _ood_entropy's
+    scores, or the exception that raised. It returns once the pipe
+    closes."""
     parent_conn.close()
     # an interrupt is the trainer's to handle; it then stops this worker
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     np.seterr(**errstate)
     try:
-        while (epoch := conn.recv()) is not None:
-            conn.recv_bytes_into(flat)
+        while True:
+            epoch = conn.recv()
             try:
-                reply, _ = _ood_entropy(model, val_ood,
+                reply, _ = _ood_entropy(models[epoch % 2], val_ood,
                                         derive_seed(seed, STREAM_VAL_MC, epoch))
             except Exception as exc:
                 reply = exc
@@ -341,17 +354,32 @@ def _validation_worker(conn, parent_conn, model: MlpModel, flat: np.ndarray,
 
 class _ValidationWorker:
     """A process, forked once per train call, that scores the validation
-    outlier split for one epoch while the caller trains the next."""
+    outlier split for one epoch while the caller trains the next.
 
-    def __init__(self, model: MlpModel, flat: np.ndarray, val_ood: DatasetSplit,
-                 seed: int):
+    Epoch e's parameters go through slot e % 2 of memory that both
+    processes share, so the pipe carries only epoch numbers one way and
+    scores the other. The caller's sends are small and never wait for the
+    worker, and the worker's reply waits only for the caller to read it:
+    neither process can wait in a send for the other, however large the
+    model or the split. A slot is rewritten two epochs after it was sent,
+    once the reply to it has been read, so the worker is done with it.
+    """
+
+    def __init__(self, model: MlpModel, val_ood: DatasetSplit, seed: int):
+        import mmap
         import multiprocessing
 
+        size = sum(a.size for a in model.weights + model.biases)
+        # anonymous and shared: the forked worker sees what is written here
+        self.slots = np.frombuffer(mmap.mmap(-1, 2 * size * 8),
+                                   dtype=np.float64).reshape(2, size)
+        models = [MlpModel(model.layer_dims, *_layer_views(slot, model.layer_dims),
+                           model.dropout_rate) for slot in self.slots]
         context = multiprocessing.get_context("fork")
         self.conn, child_conn = context.Pipe()
         self.process = context.Process(
             target=_validation_worker,
-            args=(child_conn, self.conn, model, flat, val_ood, seed, np.geterr()),
+            args=(child_conn, self.conn, models, val_ood, seed, np.geterr()),
             daemon=True,
         )
         self.process.start()
@@ -360,9 +388,9 @@ class _ValidationWorker:
         child_conn.close()
 
     def submit(self, epoch: int, params: np.ndarray) -> None:
+        self.slots[epoch % 2] = params
         try:
             self.conn.send(epoch)
-            self.conn.send_bytes(params)
         except OSError as exc:
             raise RuntimeError("the validation worker exited unexpectedly") from exc
 
@@ -378,10 +406,7 @@ class _ValidationWorker:
         return reply
 
     def close(self) -> None:
-        try:
-            self.conn.send(None)
-        except OSError:
-            pass
+        """Close the pipe, which stops the worker, and join it."""
         self.conn.close()
         self.process.join(WORKER_EXIT_TIMEOUT_S)
         if self.process.is_alive():
@@ -393,25 +418,23 @@ class _Validation:
     """Per-epoch validation and checkpoint selection for one train call.
 
     end_epoch(e) keeps a snapshot of the parameters, hands the outlier
-    split to the worker if there is one, scores val on the calling
-    thread and then resolves each epoch whose outlier scores are due:
-    epoch e without a worker, epoch e - 1 with one. Resolving an epoch
-    appends its EpochRecord and applies the selection rule, in epoch
-    order, so the history is the same either way.
+    split to the worker if there is one, and scores val on the calling
+    thread. It then resolves epoch e - 1 if it is pending, which it is
+    only with a worker, and makes e the pending epoch; without a worker
+    it resolves e at once. Resolving an epoch appends its EpochRecord and
+    applies the selection rule, in epoch order, so the history is the
+    same either way.
     """
 
     def __init__(self, config: TrainConfig, model: MlpModel, flat: np.ndarray,
                  val: DatasetSplit, val_ood: DatasetSplit, history: TrainHistory):
         self.config, self.model, self.flat, self.history = config, model, flat, history
         self.val, self.val_ood = val, val_ood
-        self.pending: list[tuple] = []
-        # An eval pass reruns in its first epoch's buffers: allocated anew,
-        # the outlier split's 0.5 MB arrays made the allocator return and
-        # refault about 2 MB per epoch in some processes.
+        self.pending: tuple | None = None
         self.val_trace = self.ood_trace = None
         self.best_criterion = None
         self.best_params: np.ndarray | None = None
-        self.worker = (_ValidationWorker(model, flat, val_ood, config.seed)
+        self.worker = (_ValidationWorker(model, val_ood, config.seed)
                        if _forks_validation_worker(model) else None)
 
     def end_epoch(self, epoch: int, train_loss: float, terms: dict[str, float]) -> None:
@@ -424,34 +447,25 @@ class _Validation:
                 self.model, self.val, mc_seed, self.val_trace)
         except ValueError as exc:
             # an earlier epoch's failure, still in flight, came first
-            self.drain()
+            self.resolve_pending()
             raise self._diverged(epoch) from exc
-        self.pending.append((epoch, snapshot, mc_seed, train_loss, terms,
-                             val_acc, val_entropy))
-        self.drain(keep=self.worker is not None)
+        self.resolve_pending()
+        self.pending = (epoch, snapshot, mc_seed, train_loss, terms, val_acc,
+                        val_entropy)
+        if self.worker is None:
+            # the model's parameters are still the snapshot's
+            self.resolve_pending()
 
-    def drain(self, keep: int = 0) -> None:
-        """Resolve the pending epochs, oldest first, until `keep` are left."""
-        while len(self.pending) > keep:
-            self._resolve(*self.pending.pop(0))
-
-    def close(self) -> None:
-        if self.worker is not None:
-            self.worker.close()
-
-    def _diverged(self, epoch: int) -> TrainingDiverged:
-        # finite but extreme parameters can overflow the validation
-        # forward pass; that is a divergence, not a usage error
-        return TrainingDiverged(f"non-finite validation outputs at epoch {epoch}",
-                                self.history)
-
-    def _resolve(self, epoch, snapshot, mc_seed, train_loss, terms, val_acc,
-                 val_entropy) -> None:
+    def resolve_pending(self) -> None:
+        """Resolve the pending epoch, if there is one."""
+        if self.pending is None:
+            return
+        epoch, snapshot, mc_seed, train_loss, terms, val_acc, val_entropy = self.pending
+        self.pending = None
         try:
             if self.worker is not None:
                 ood_entropy = self.worker.result()
             else:
-                # the model's parameters are still the snapshot's
                 ood_entropy, self.ood_trace = _ood_entropy(
                     self.model, self.val_ood, mc_seed, self.ood_trace)
             ent_auc = 100.0 * auc_roc(val_entropy, ood_entropy,
@@ -467,6 +481,16 @@ class _Validation:
             self.best_criterion = criterion
             self.history.best_epoch = epoch
             self.best_params = snapshot
+
+    def close(self) -> None:
+        if self.worker is not None:
+            self.worker.close()
+
+    def _diverged(self, epoch: int) -> TrainingDiverged:
+        # finite but extreme parameters can overflow the validation
+        # forward pass; that is a divergence, not a usage error
+        return TrainingDiverged(f"non-finite validation outputs at epoch {epoch}",
+                                self.history)
 
 
 def _layer_views(flat: np.ndarray, dims: list[int]) -> tuple[list, list]:
@@ -624,70 +648,70 @@ def train(
             loss_sum = 0.0
             term_sums: dict[str, float] = {}
             seen = 0
-            try:
-                for start in range(0, n_train, config.batch_size):
-                    idx = perm[start:start + config.batch_size]
-                    n = len(idx)
-                    step = full if n == rows else short
-                    features.take(idx, axis=0, out=step.trace_in.inputs)
-                    labels.take(idx, out=step.labels)
-                    rng = (
-                        np.random.default_rng(
-                            derive_seed(config.seed, STREAM_DROPOUT, dropout_counter))
-                        if model.dropout_rate > 0 else None
+            for start in range(0, n_train, config.batch_size):
+                idx = perm[start:start + config.batch_size]
+                n = len(idx)
+                step = full if n == rows else short
+                features.take(idx, axis=0, out=step.trace_in.inputs)
+                labels.take(idx, out=step.labels)
+                rng = (
+                    np.random.default_rng(
+                        derive_seed(config.seed, STREAM_DROPOUT, dropout_counter))
+                    if model.dropout_rate > 0 else None
+                )
+                logits_in = forward_into(model, step.trace_in, rng)
+                dropout_counter += 1
+                logits_out = None
+                if step.trace_out is not None:
+                    next_ood_batch(step.trace_out.inputs)
+                    # The outlier terms shape the predictive distribution, so
+                    # this branch runs without dropout: constraining every
+                    # dropout subnetwork to be flat on outliers would erase
+                    # the pass-to-pass disagreement that mutual information
+                    # measures at test time.
+                    logits_out = forward_into(model, step.trace_out, None)
+                if not np.isfinite(logits_in).all() or (
+                    logits_out is not None and not np.isfinite(logits_out).all()
+                ):
+                    raise TrainingDiverged(
+                        f"non-finite logits at epoch {epoch}", history
                     )
-                    logits_in = forward_into(model, step.trace_in, rng)
-                    dropout_counter += 1
-                    logits_out = None
-                    if step.trace_out is not None:
-                        next_ood_batch(step.trace_out.inputs)
-                        # The outlier terms shape the predictive distribution, so
-                        # this branch runs without dropout: constraining every
-                        # dropout subnetwork to be flat on outliers would erase
-                        # the pass-to-pass disagreement that mutual information
-                        # measures at test time.
-                        logits_out = forward_into(model, step.trace_out, None)
-                    if not np.isfinite(logits_in).all() or (
-                        logits_out is not None and not np.isfinite(logits_out).all()
-                    ):
-                        raise TrainingDiverged(
-                            f"non-finite logits at epoch {epoch}", history
-                        )
-                    loss, terms = spec.loss(params, logits_in, step.labels, logits_out,
-                                            step.d_in, step.d_out)
+                loss, terms = spec.loss(params, logits_in, step.labels, logits_out,
+                                        step.d_in, step.d_out)
 
-                    backward_into(model, step.trace_in, step.d_in, grads, step.deltas)
-                    if logits_out is not None:
-                        backward_into(model, step.trace_out, step.d_out, grads_ood,
-                                      step.deltas)
-                        grad += grad_ood
-                    if spec.penalty is not None:
-                        for name, value in spec.penalty(config, model, grads).items():
-                            loss += value
-                            terms[name] = value
+                backward_into(model, step.trace_in, step.d_in, grads, step.deltas)
+                if logits_out is not None:
+                    backward_into(model, step.trace_out, step.d_out, grads_ood,
+                                  step.deltas)
+                    grad += grad_ood
+                if spec.penalty is not None:
+                    for name, value in spec.penalty(config, model, grads).items():
+                        loss += value
+                        terms[name] = value
 
-                    if not np.isfinite(loss):
-                        raise TrainingDiverged(
-                            f"non-finite loss at epoch {epoch}", history
-                        )
-                    if not np.isfinite(grad).all():
-                        raise TrainingDiverged(
-                            f"non-finite gradient; step aborted (epoch {epoch})", history
-                        )
-                    sgd_update(flat, grad, velocity, scratch,
-                               config.lr, config.momentum, config.weight_decay)
-                    loss_sum += loss * n
-                    for name, val in terms.items():
-                        term_sums[name] = term_sums.get(name, 0.0) + val * n
-                    seen += n
-            except TrainingDiverged:
-                # the previous epoch's validation may still be in flight,
-                # and a failure there came first
-                validation.drain()
-                raise
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}", history
+                    )
+                if not np.isfinite(grad).all():
+                    raise TrainingDiverged(
+                        f"non-finite gradient; step aborted (epoch {epoch})", history
+                    )
+                sgd_update(flat, grad, velocity, scratch,
+                           config.lr, config.momentum, config.weight_decay)
+                loss_sum += loss * n
+                for name, val in terms.items():
+                    term_sums[name] = term_sums.get(name, 0.0) + val * n
+                seen += n
+
             validation.end_epoch(epoch, loss_sum / seen,
                                  {k: v / seen for k, v in term_sums.items()})
-        validation.drain()
+        validation.resolve_pending()
+    except TrainingDiverged:
+        # the previous epoch's validation may still be in flight, and a
+        # failure there came first
+        validation.resolve_pending()
+        raise
     finally:
         validation.close()
 

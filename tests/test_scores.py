@@ -182,17 +182,6 @@ def test_direct_scoring_calls_run_on_one_blas_thread(monkeypatch):
                     + [("mc_dropout_probs", 1)] * 2 + mahalanobis)
 
 
-def test_an_eval_pass_reruns_in_the_trace_it_returned():
-    model = init_mlp([2, 8, 3], seed=0)
-    x = np.random.default_rng(0).normal(size=(20, 2))
-    _, trace = predictive_samples(model, x, 1, seed=0)
-    model.weights[0] *= 2.0
-    expected, _ = predictive_samples(model, x, 1, seed=0)
-    again, same = predictive_samples(model, x, 1, seed=0, trace=trace)
-    assert same is trace
-    assert again.probs.tobytes() == expected.probs.tobytes()
-
-
 def test_mc_dropout_rejects_bad_pass_count():
     model = init_mlp([2, 8, 3], seed=0)
     with pytest.raises(ValueError):

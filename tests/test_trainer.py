@@ -1,5 +1,8 @@
 import dataclasses
+import math
 import os
+import signal
+import socket
 import threading
 import warnings
 
@@ -612,6 +615,23 @@ def test_eval_pass_validation_allocates_its_buffers_once(tiny_benchmark, monkeyp
     assert len(calls) == 2
 
 
+def test_an_eval_pass_validation_reruns_in_the_trace_it_returned(tiny_benchmark):
+    model = init_mlp([2, 8, 3], seed=0)
+    split = tiny_benchmark["val"]
+    _, trace = trainer_mod._predictive(model, split, 0, None)
+    model.weights[0] *= 2.0
+    expected, _ = predictive_samples(model, split.features, 1, seed=0)
+    again, same = trainer_mod._predictive(model, split, 0, trace)
+    assert same is trace
+    assert again.probs.tobytes() == expected.probs.tobytes()
+    # MC passes draw their own buffers
+    mc = init_mlp([2, 8, 3], dropout_rate=0.2, seed=0)
+    samples, none = trainer_mod._predictive(mc, split, 5, trace)
+    assert none is None
+    expected, _ = predictive_samples(mc, split.features, trainer_mod.VAL_MC_PASSES, 5)
+    assert samples.probs.tobytes() == expected.probs.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the validation worker
 # ---------------------------------------------------------------------------
@@ -784,26 +804,57 @@ def test_train_leaves_no_child_behind(
             train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
     [worker] = started_workers
     assert multiprocessing.active_children() == []
-    # it stopped when told to; it was not killed
+    # it stopped once its pipe closed; it was not killed
     assert worker.process.exitcode == 0
+
+
+def test_the_worker_passes_messages_larger_than_the_pipe_buffer(
+    tiny_benchmark, monkeypatch, started_workers
+):
+    """The parameters and the outlier split's scores each fill more than
+    the pipe's buffer; neither process waits in a send for the other."""
+    ends = socket.socketpair()
+    with ends[0], ends[1]:
+        sndbuf = ends[0].getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+    # floats per message: half as much again as the buffer holds
+    floats = 3 * sndbuf // 16
+    width = math.isqrt(floats) + 1
+    rows = np.random.default_rng(0).normal(size=(floats, 2))
+    benchmark = dict(tiny_benchmark, train_ood=DatasetSplit(rows, None, "train_ood"))
+    cfg = TrainConfig(objective="ce", epochs=3, dropout_rate=0.2,
+                      hidden_dims=(width, width))
+    assert sum(a.size for a in fresh_model(cfg, benchmark).weights) > floats
+    # two passes keep it MC validation, at a fifteenth of the cost
+    monkeypatch.setattr(trainer_mod, "VAL_MC_PASSES", 2)
+    monkeypatch.setattr(nn_mod, "available_cpus", lambda: 2)
+
+    def stuck(signum, frame):
+        pytest.fail("train waited on its validation worker for 120 s")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(120)
+    try:
+        _, history = train(cfg, benchmark, fresh_model(cfg, benchmark))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(started_workers) == 1
+    assert [r.epoch for r in history.records] == [1, 2, 3]
 
 
 def test_the_worker_scores_what_it_is_sent_and_exits_on_eof(tiny_benchmark):
     model = init_mlp([2, 8, 3], dropout_rate=0.3, seed=0)
-    flat = np.concatenate([a.ravel() for a in model.weights + model.biases])
-    # the worker writes what it is sent into flat, which the model views
-    model = trainer_mod.MlpModel(model.layer_dims,
-                                 *trainer_mod._layer_views(flat, model.layer_dims),
-                                 model.dropout_rate)
     split = tiny_benchmark["train_ood"]
-    worker = trainer_mod._ValidationWorker(model, flat, split, 7)
+    worker = trainer_mod._ValidationWorker(model, split, 7)
     try:
-        params = flat * 1.5
-        worker.submit(4, params)
-        flat[:] = params
-        expected, _ = trainer_mod._ood_entropy(model, split,
-                                               derive_seed(7, STREAM_VAL_MC, 4))
-        assert worker.result().tobytes() == expected.tobytes()
+        # odd and even epochs go through the two shared slots
+        for epoch in (4, 5, 6):
+            model.weights[0] *= 1.5
+            worker.submit(epoch, np.concatenate(
+                [a.ravel() for a in model.weights + model.biases]))
+            expected, _ = trainer_mod._ood_entropy(model, split,
+                                                   derive_seed(7, STREAM_VAL_MC, epoch))
+            assert worker.result().tobytes() == expected.tobytes()
         # the pipe closes with no stop message
         worker.conn.close()
         worker.process.join(60)
