@@ -318,8 +318,9 @@ def cmd_eval(args, out_dir: Path) -> int:
         # a train split the Mahalanobis fit cannot use, or overflowing outputs
         raise DataError(f"cannot evaluate {args.model} on {data_dir}: {exc}") from exc
     report = eval_report(test_id, pops, id_samples, args.mc_passes)
-    # the MC draws would otherwise stay alive through the grid forward,
-    # the command's memory peak
+    # the MC draws would otherwise stay alive through the decision grids,
+    # whose two layer buffers of resolution**2 rows are the largest arrays
+    # the command holds after scoring
     del id_samples
 
     out_dir.mkdir(parents=True, exist_ok=True)

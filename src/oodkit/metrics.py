@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasynth import CORRUPTION_KINDS, SEVERITIES
-from .nn import MlpModel, forward, softmax
+from .nn import MlpModel, eval_logits, softmax
+from .nn import forward  # noqa: F401  (kept bound: tracing patches metrics.forward)
 from .scores import SCORE_KINDS, _entropy_rows, predictive_samples
 
 ORIENTATIONS = ("higher_id", "higher_ood")
@@ -96,8 +97,13 @@ def grid_bounds(features, pad: float = 0.2) -> tuple[float, float, float, float]
     lo = x.min(axis=0)
     hi = x.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
-    lo = lo - pad * span
-    hi = hi + pad * span
+    padded_lo = lo - pad * span
+    padded_hi = hi + pad * span
+    # a zero extent's 1e-12 pad is below the float spacing from |x| of
+    # about 1e3 on; one ulp each way keeps the box from collapsing
+    flat = padded_lo >= padded_hi
+    lo = np.where(flat, np.nextafter(lo, -np.inf), padded_lo)
+    hi = np.where(flat, np.nextafter(hi, np.inf), padded_hi)
     return float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])
 
 
@@ -109,9 +115,11 @@ def export_decision_grid(
 ) -> None:
     """Evaluate quantities over a regular grid and write x0,x1,value CSVs.
 
-    paths maps each wanted quantity to its output file; one forward pass
-    over the grid serves them all. Rows iterate x1 outer, x0 inner (x0
-    varies fastest).
+    paths maps each wanted quantity to its output file; one eval pass
+    over the grid serves them all. The pass keeps only the logits, so
+    its memory is two buffers of resolution**2 rows of the widest hidden
+    layer (nn.eval_logits), freed before any line is formatted. Rows
+    iterate x1 outer, x0 inner (x0 varies fastest).
     """
     unknown = [q for q in paths if q not in GRID_QUANTITIES]
     if unknown or not paths:
@@ -128,7 +136,7 @@ def export_decision_grid(
     xs = np.linspace(x0_min, x0_max, resolution)
     ys = np.linspace(x1_min, x1_max, resolution)
     gx, gy = np.meshgrid(xs, ys)  # row-major: x0 varies fastest
-    logits, _ = forward(model, np.column_stack([gx.ravel(), gy.ravel()]), mode="eval")
+    logits = eval_logits(model, np.column_stack([gx.ravel(), gy.ravel()]))
     probs = softmax(logits)
     values = {
         "predicted_class": logits.argmax(axis=1),

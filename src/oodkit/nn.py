@@ -283,6 +283,25 @@ def forward(
     return logits, trace
 
 
+def eval_logits(model: MlpModel, inputs) -> np.ndarray:
+    """forward(model, inputs, "eval")[0], bit for bit, without its trace.
+
+    The hidden layers alternate between two flat buffers of rows times
+    the widest hidden layer's floats, each layer in a contiguous view of
+    one, and ReLU runs in place, so a layer's input and output never
+    share a buffer. Both buffers are freed when the call returns.
+    """
+    x = _as_batch(inputs, model.input_dim)
+    rows, hidden = len(x), model.layer_dims[1:-1]
+    width = max(hidden, default=0)
+    buffers = [np.empty(rows * width) for _ in range(min(2, len(hidden)))]
+    pre = [buffers[l % 2][: rows * d].reshape(rows, d) for l, d in enumerate(hidden)]
+    pre.append(np.empty((rows, model.num_classes)))
+    # hidden activations alias their pre-activations
+    trace = ForwardTrace(x, pre, pre[:-1], [None] * len(hidden))
+    return forward_into(model, trace, None)
+
+
 def forward_into(model: MlpModel, trace: ForwardTrace, rng) -> np.ndarray:
     """forward's arithmetic, unchecked, on trace.inputs. Writes every
     layer's outputs into the trace's buffers and returns the logits,

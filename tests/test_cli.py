@@ -215,7 +215,7 @@ def test_eval_does_each_piece_of_work_once(pipeline, tmp_path, monkeypatch):
     spy(oodkit.scores, "mc_dropout_predict", passes,
         lambda model, inputs, num_passes, seed: num_passes)
     spy(oodkit.trainer, "fit_mahalanobis", fits, lambda *a, **k: 1)
-    spy(oodkit.metrics, "forward", grid_rows, lambda model, inputs, **k: len(inputs))
+    spy(oodkit.metrics, "eval_logits", grid_rows, lambda model, inputs: len(inputs))
     assert main([
         "eval", "--model", str(model_path), "--data", str(pipeline["data"]),
         "--out", str(tmp_path / "eval"), "--mc-passes", "5", "--mahalanobis",
@@ -231,17 +231,41 @@ def test_eval_does_each_piece_of_work_once(pipeline, tmp_path, monkeypatch):
 
 def test_dropout_free_eval_forwards_each_split_once(pipeline, tmp_path, monkeypatch):
     rows = []
-    for module in (oodkit.scores, oodkit.metrics, oodkit.trainer):
-        original = module.forward
+    for module, name in ((oodkit.scores, "forward"), (oodkit.trainer, "forward"),
+                         (oodkit.metrics, "forward"), (oodkit.metrics, "eval_logits")):
+        original = getattr(module, name)
 
         def counting(model, inputs, *args, _original=original, **kwargs):
             rows.append(len(inputs))
             return _original(model, inputs, *args, **kwargs)
 
-        monkeypatch.setattr(module, "forward", counting)
+        monkeypatch.setattr(module, name, counting)
     assert run_eval(pipeline, tmp_path / "eval", extra=["--mahalanobis"]) == 0
     # test_id, test_ood, train (for the fit) and the 24 x 24 grid
     assert sorted(rows) == sorted([18, 80, 84, 24 * 24])
+
+
+def test_eval_draws_the_grid_when_every_point_shares_a_large_coordinate(
+        pipeline, tmp_path):
+    # at x0 = 5000 the 1e-12 pad of a zero extent is below the float
+    # spacing, which used to collapse the grid's box and raise
+    data = tmp_path / "data"
+    data.mkdir()
+    for role in ("test_id", "test_ood"):
+        split = read_split(pipeline["data"] / f"{role}.csv", role)
+        split.features[:, 0] = 5000.0
+        write_split(split, data / f"{role}.csv")
+    out = tmp_path / "eval"
+    assert main([
+        "eval", "--model", str(pipeline["model"]), "--data", str(data),
+        "--out", str(out), "--grid-resolution", "24",
+    ]) == 0
+    with open(out / "grid_entropy.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 24 * 24
+    x0 = sorted({float(r[0]) for r in rows})
+    assert x0[0] < 5000.0 < x0[-1]
+    assert (x0[0], x0[-1]) == (np.nextafter(5000.0, 0.0), np.nextafter(5000.0, 1e4))
 
 
 def test_eval_reads_only_the_splits_it_uses(pipeline, tmp_path):

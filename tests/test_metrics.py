@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,18 @@ def test_grid_bounds_pads_by_a_fifth():
     assert (y_lo, y_hi) == (-1.8, 3.8)
 
 
+def test_grid_bounds_widen_a_zero_extent_below_the_float_spacing():
+    # 0.2 * 1e-12 is below half an ulp of 5000, so the pad alone would
+    # leave lo == hi
+    pts = np.array([[5000.0, -1.0], [5000.0, 3.0]])
+    x_lo, x_hi, y_lo, y_hi = grid_bounds(pts)
+    assert (x_lo, x_hi) == (np.nextafter(5000.0, 0.0), np.nextafter(5000.0, 1e4))
+    assert (y_lo, y_hi) == (-1.8, 3.8)
+    # a zero extent the pad can widen keeps its padded bounds
+    assert grid_bounds(np.array([[0.5, 0.0], [0.5, 1.0]]))[:2] == (
+        0.5 - 0.2 * 1e-12, 0.5 + 0.2 * 1e-12)
+
+
 def test_grid_bounds_validation():
     with pytest.raises(ValueError):
         grid_bounds(np.zeros((4, 3)))
@@ -276,6 +289,20 @@ def test_grid_writes_every_quantity_as_csv_writer_would(tmp_path):
         for (px, py), v in zip(pts, values[quantity]):
             writer.writerow([repr(float(px)), repr(float(py)), v])
         assert path.read_bytes() == buf.getvalue().encode(), quantity
+
+
+def test_grid_memory_is_two_layer_buffers(tmp_path):
+    # forward's trace of the 40,000 grid rows holds four (40,000, 64)
+    # float arrays on this model; the grid's pass keeps two
+    model = init_mlp([2, 64, 64, 3], seed=0)
+    paths = {q: tmp_path / f"grid_{q}.csv" for q in GRID_QUANTITIES}
+    tracemalloc.start()
+    try:
+        export_decision_grid(model, (-5.0, 5.0, -5.0, 5.0), 200, paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 40_000 * 64 * 8
 
 
 def test_grid_validation(tmp_path):

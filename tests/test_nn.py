@@ -25,6 +25,7 @@ from oodkit.nn import (
     OptimizerState,
     backward,
     blas_threads,
+    eval_logits,
     forward,
     init_mlp,
     load_model,
@@ -461,6 +462,34 @@ def test_layer_kernels_equal_the_reference_expressions(dims, rows, dropout, seed
     sgd_step(model, grads, state)
     assert_same_bytes(model.weights + model.biases, [w for w, _ in expected])
     assert_same_bytes(state.velocity_w + state.velocity_b, [v for _, v in expected])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hidden=st.sampled_from([(), (8,), (8, 8), (8, 16, 8), (16, 8, 16)]),
+    rows=st.integers(1, 600),
+    dropout=st.sampled_from([0.0, 0.4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eval_logits_equal_the_eval_forward(hidden, rows, dropout, seed):
+    # the two alternating buffers and the in-place ReLU keep every bit
+    rng = np.random.default_rng(seed)
+    model = init_mlp([2, *hidden, 3], dropout_rate=dropout, seed=seed % 1000)
+    for b in model.biases:
+        b[:] = rng.normal(size=b.shape)
+    x = rng.normal(scale=3.0, size=(rows, 2))
+    logits = eval_logits(model, x)
+    expected, _ = forward(model, x, "eval")
+    assert logits.shape == expected.shape
+    assert logits.tobytes() == expected.tobytes()
+
+
+def test_eval_logits_checks_its_inputs():
+    model = init_mlp([2, 8, 3], seed=0)
+    with pytest.raises(ValueError, match="input columns"):
+        eval_logits(model, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        eval_logits(model, np.array([[0.0, np.nan]]))
 
 
 # ---------------------------------------------------------------------------

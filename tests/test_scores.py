@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oodkit.datasynth import DatasetSplit, make_default_benchmark
 from oodkit.nn import forward, init_mlp, softmax
 from oodkit.scores import (
     PredictiveSamples,
+    _entropy_rows,
     confidence_score,
     entropy_score,
     fit_mahalanobis,
@@ -248,6 +250,29 @@ def test_score_ordering_invariants():
         conf = confidence_score(s)
         assert np.all(conf >= 1.0 / s.probs.shape[2] - 1e-12)
         assert np.all(conf <= 1.0 + 1e-15)
+
+
+@st.composite
+def _probability_stacks(draw):
+    # (N, k) or (T, N, k) rows with exact zeros, some of them one-hot
+    shape = draw(st.sampled_from([(), (1,), (4,)])) + (
+        draw(st.integers(1, 12)), draw(st.integers(1, 6)))
+    elements = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    rows = draw(hnp.arrays(np.float64, shape, elements=elements)).reshape(-1, shape[-1])
+    one_hot = draw(hnp.arrays(np.bool_, len(rows)))
+    rows[one_hot] = 0.0
+    rows[one_hot, draw(st.integers(0, shape[-1] - 1))] = 1.0
+    rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+    return (rows / rows.sum(axis=1, keepdims=True)).reshape(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_probability_stacks())
+def test_entropy_rows_equal_the_three_temporary_expression(p):
+    expected = -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
+    actual = _entropy_rows(p)
+    assert actual.shape == expected.shape == p.shape[:-1]
+    assert actual.tobytes() == expected.tobytes()
 
 
 def test_confidence_entropy_antimonotone_on_mixtures():
