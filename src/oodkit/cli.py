@@ -36,10 +36,13 @@ from .nn import MlpModel, ModelFileError, load_model, one_blas_thread, save_mode
 from .scores import SOFTMAX_SCORES, write_score_dump
 from .seeding import STREAM_INIT, derive_seed
 from .trainer import (
+    TRAIN_SPLITS,
     TrainConfig,
     TrainingDiverged,
     corruption_error_table,
     eval_report,
+    eval_splits,
+    grid_configs,
     init_model,
     score_populations,
     sweep,
@@ -91,6 +94,8 @@ def load_config(path) -> dict:
     unknown = set(doc) - {"config_version", "data", "train", "eval"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    # no command reads an eval key yet
+    _section(doc, "eval", ())
     return doc
 
 
@@ -217,6 +222,11 @@ def _resolve_out(arg_out: str | None, command: str) -> Path:
     )
 
 
+# the least value of every numeric flag, checked before any command runs
+FLAG_MINIMUMS = {"--mc-passes": 1, "--histogram-bins": 1, "--grid-resolution": 2,
+                 "--workers": 1, "--seed": 0}
+
+
 def _parse_scores(arg: str) -> tuple[str, ...]:
     kinds = tuple(k.strip() for k in arg.split(",") if k.strip())
     unknown = [k for k in kinds if k not in SOFTMAX_SCORES]
@@ -259,9 +269,7 @@ def cmd_gen_data(args, out_dir: Path) -> int:
 def cmd_train(args, out_dir: Path) -> int:
     doc = load_config(args.config)
     config = train_config_from(doc, seed_override=args.seed)
-    data_dir = Path(args.data)
-    # validation measures OOD separation on train_ood for every objective
-    benchmark = _load_benchmark_dir(data_dir, ("train", "val", "train_ood"))
+    benchmark = _load_benchmark_dir(Path(args.data), TRAIN_SPLITS)
     model = init_model(config, benchmark["train"].features.shape[1])
     try:
         trained, history = train(config, benchmark, model)
@@ -290,18 +298,10 @@ def cmd_train(args, out_dir: Path) -> int:
 
 
 def cmd_eval(args, out_dir: Path) -> int:
-    for flag, value, least in (
-        ("--mc-passes", args.mc_passes, 1),
-        ("--histogram-bins", args.histogram_bins, 1),
-        ("--grid-resolution", args.grid_resolution, 2),
-    ):
-        if value < least:
-            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     score_kinds = _parse_scores(args.scores)
     model = _load_model(args.model)
     data_dir = Path(args.data)
-    roles = ("test_id", "test_ood") + (("train",) if args.mahalanobis else ())
-    benchmark = _load_benchmark_dir(data_dir, roles)
+    benchmark = _load_benchmark_dir(data_dir, eval_splits(args.mahalanobis))
     test_id, test_ood = benchmark["test_id"], benchmark["test_ood"]
     _check_input_dim(model, test_id)
 
@@ -410,16 +410,17 @@ def cmd_sweep(args, out_dir: Path) -> int:
     if not isinstance(grid, list) or not all(isinstance(g, dict) for g in grid):
         raise ConfigError("grid file must contain a 'grid' list of objects")
 
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    data_dir = Path(args.data)
-    benchmark = _load_benchmark_dir(data_dir, ("train", "val", "train_ood"))
+    try:
+        grid_configs(base_config, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    benchmark = _load_benchmark_dir(Path(args.data), TRAIN_SPLITS)
     try:
         best_config, best_model, rows = sweep(
             base_config, grid, benchmark, workers=args.workers
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise DataError(str(exc)) from exc
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(best_model, out_dir / "model.json")
@@ -515,7 +516,12 @@ def main(argv=None) -> int:
     try:
         # numpy warnings are silenced; explicit checks report every blow-up
         with one_blas_thread(), np.errstate(all="ignore"):
-            return args.func(args, _resolve_out(args.out, args.command))
+            out_dir = _resolve_out(args.out, args.command)
+            for flag, least in FLAG_MINIMUMS.items():
+                value = getattr(args, flag[2:].replace("-", "_"), None)
+                if value is not None and value < least:
+                    raise ConfigError(f"{flag} must be >= {least}, got {value}")
+            return args.func(args, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

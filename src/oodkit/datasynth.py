@@ -157,6 +157,8 @@ def make_default_benchmark(
     if not (isinstance(split_fractions, (list, tuple)) and len(split_fractions) == 3
             and all(map(is_number, split_fractions))):
         raise ValueError(f"split_fractions must be 3 numbers, got {split_fractions!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if id_radius <= 0 or ood_radius <= 0:
         raise ValueError("radii must be > 0")
     if abs(sum(split_fractions) - 1.0) > 1e-9 or any(f <= 0 for f in split_fractions):
@@ -257,17 +259,22 @@ def corrupt(split: DatasetSplit, spec: CorruptionSpec, seed: int) -> DatasetSpli
     return DatasetSplit(x, labels, split.role)
 
 
+def write_csv(path, header: str, lines: list[str]) -> None:
+    """Write the header and the lines, each ending in \\r\\n: the bytes
+    the csv module's excel dialect writes when no field needs quoting."""
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([header, *lines]))
+        fh.write("\r\n")
+
+
 def write_split(split: DatasetSplit, path) -> None:
     """CSV with header x0..x{d-1},label; label cells empty for OOD rows."""
     d = split.features.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(d)] + ["label"])
-        labels = split.labels
-        for i, row in enumerate(split.features):
-            cells = [repr(float(v)) for v in row]
-            cells.append("" if labels is None else str(int(labels[i])))
-            writer.writerow(cells)
+    labels = [""] * len(split) if split.labels is None else map(str, split.labels.tolist())
+    write_csv(path, ",".join([f"x{i}" for i in range(d)] + ["label"]), [
+        ",".join([*map(repr, row), label])
+        for row, label in zip(split.features.tolist(), labels)
+    ])
 
 
 def read_split(path, role: str | None = None) -> DatasetSplit:

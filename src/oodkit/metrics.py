@@ -7,12 +7,11 @@ ties counting one half.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasynth import CORRUPTION_KINDS, SEVERITIES
+from .datasynth import CORRUPTION_KINDS, SEVERITIES, write_csv
 from .nn import MlpModel, eval_logits, softmax
 from .nn import forward  # noqa: F401  (kept bound: tracing patches metrics.forward)
 from .scores import SCORE_KINDS, _entropy_rows, predictive_samples
@@ -147,12 +146,8 @@ def export_decision_grid(
     prefixes = [f"{x0},{x1}," for x1 in map(repr, ys.tolist()) for x0 in x0s]
     for quantity, path in paths.items():
         fmt = str if quantity == "predicted_class" else repr
-        # the bytes csv.writer would write: no field here needs quoting
-        lines = [p + fmt(v) for p, v in zip(prefixes, values[quantity].tolist())]
-        with open(path, "w", newline="") as fh:
-            fh.write("x0,x1,value\r\n")
-            fh.write("\r\n".join(lines))
-            fh.write("\r\n")
+        write_csv(path, "x0,x1,value",
+                  [p + fmt(v) for p, v in zip(prefixes, values[quantity].tolist())])
 
 
 def export_histograms(
@@ -168,26 +163,22 @@ def export_histograms(
         raise ValueError(f"bins must be >= 1, got {bins}")
     if not score_dumps:
         raise ValueError("no score populations given")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["score_kind", "population", "bin_lo", "bin_hi", "count"])
-        for kind in sorted(score_dumps):
-            s_id = np.asarray(score_dumps[kind][0], dtype=np.float64).ravel()
-            s_ood = np.asarray(score_dumps[kind][1], dtype=np.float64).ravel()
-            if s_id.size == 0 or s_ood.size == 0:
-                raise ValueError(f"kind {kind!r} has an empty population")
-            combined = np.concatenate([s_id, s_ood])
-            lo, hi = float(combined.min()), float(combined.max())
-            if lo == hi:
-                lo, hi = lo - 0.5, hi + 0.5
-            edges = np.linspace(lo, hi, bins + 1)
-            for name, scores in (("id", s_id), ("ood", s_ood)):
-                counts, _ = np.histogram(scores, bins=edges)
-                for b in range(bins):
-                    writer.writerow([
-                        kind, name, repr(float(edges[b])),
-                        repr(float(edges[b + 1])), int(counts[b]),
-                    ])
+    lines = []
+    for kind in sorted(score_dumps):
+        s_id = np.asarray(score_dumps[kind][0], dtype=np.float64).ravel()
+        s_ood = np.asarray(score_dumps[kind][1], dtype=np.float64).ravel()
+        if s_id.size == 0 or s_ood.size == 0:
+            raise ValueError(f"kind {kind!r} has an empty population")
+        combined = np.concatenate([s_id, s_ood])
+        lo, hi = float(combined.min()), float(combined.max())
+        if lo == hi:
+            lo, hi = lo - 0.5, hi + 0.5
+        edges = np.linspace(lo, hi, bins + 1).tolist()
+        for name, scores in (("id", s_id), ("ood", s_ood)):
+            counts, _ = np.histogram(scores, bins=edges)
+            lines += [f"{kind},{name},{edges[b]!r},{edges[b + 1]!r},{count}"
+                      for b, count in enumerate(counts.tolist())]
+    write_csv(path, "score_kind,population,bin_lo,bin_hi,count", lines)
 
 
 @dataclass

@@ -86,14 +86,15 @@ def _check_labels(labels, n: int, k: int) -> np.ndarray:
     return y
 
 
-def _check_pair(logits_in, logits_out) -> tuple[np.ndarray, np.ndarray]:
+def _check_batch(logits_in, labels, logits_out):
+    """The checked (z_in, y, z_out) of a loss with an outlier batch."""
     z_in = _check_logits(logits_in, "logits_in")
     z_out = _check_logits(logits_out, "logits_out")
     if z_in.shape != z_out.shape:
         raise ValueError(
             f"logits_in shape {z_in.shape} != logits_out shape {z_out.shape}"
         )
-    return z_in, z_out
+    return z_in, _check_labels(labels, *z_in.shape), z_out
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -130,23 +131,31 @@ def _cosine_grads(p, q, s, pn, qn, weight: float):
     return _softmax_vjp(p, gp), _softmax_vjp(q, gq)
 
 
-# Each loss below is its checks, then one call to its *_into kernel. A
-# kernel takes checked logits z_in (and z_out) and integer labels y in
-# [0, k), writes the logit gradients into d_in (and d_out), and returns
-# (loss, terms). The training step calls the kernels directly, with its
-# inputs checked once per train() call and its logits once per step.
+# Each loss below is its checks, then one call to its *_into kernel. Every
+# kernel takes (z_in, y, z_out, params): checked logits, integer labels y
+# in [0, k) and ObjectiveParams, where cross-entropy reads only z_in and y.
+# It writes the logit gradients into (d_in, d_out) and returns (loss,
+# terms). The training step calls the kernels directly, with its inputs
+# checked once per train() call and its logits once per step.
+
+
+def _run_kernel(kernel, z_in, y, z_out=None, params=None) -> LossResult:
+    """Run a *_into kernel into fresh gradient arrays."""
+    d_in = np.empty_like(z_in)
+    d_out = None if z_out is None else np.empty_like(z_out)
+    loss, terms = kernel(z_in, y, z_out, params, d_in, d_out)
+    return LossResult(loss, d_in, d_out, terms)
 
 
 def cross_entropy_loss(logits_in, labels) -> LossResult:
     """Mean cross-entropy on labelled in-distribution logits."""
     z = _check_logits(logits_in, "logits_in")
-    y = _check_labels(labels, *z.shape)
-    d_in = np.empty_like(z)
-    loss, terms = cross_entropy_into(z, y, d_in)
-    return LossResult(loss, d_in, None, terms)
+    return _run_kernel(cross_entropy_into, z, _check_labels(labels, *z.shape))
 
 
-def cross_entropy_into(z_in, y, d_in) -> tuple[float, dict[str, float]]:
+def cross_entropy_into(
+    z_in, y, z_out, params, d_in, d_out
+) -> tuple[float, dict[str, float]]:
     n = len(z_in)
     rows = np.arange(n)
     logp = _log_softmax(z_in)
@@ -167,21 +176,18 @@ def ce_cosine_loss(logits_in, labels, logits_out, lam: float) -> LossResult:
     distributions; lam = -1 is the minimax form, which rewards it and in
     practice drives outlier predictions toward the uniform vector.
     """
-    z_in, z_out = _check_pair(logits_in, logits_out)
-    y = _check_labels(labels, *z_in.shape)
-    d_in, d_out = np.empty_like(z_in), np.empty_like(z_out)
-    loss, terms = ce_cosine_into(z_in, y, z_out, lam, d_in, d_out)
-    return LossResult(loss, d_in, d_out, terms)
+    checked = _check_batch(logits_in, labels, logits_out)
+    return _run_kernel(ce_cosine_into, *checked, ObjectiveParams(lam=lam))
 
 
-def ce_cosine_into(z_in, y, z_out, lam, d_in, d_out) -> tuple[float, dict[str, float]]:
-    ce, _ = cross_entropy_into(z_in, y, d_in)
+def ce_cosine_into(z_in, y, z_out, params, d_in, d_out) -> tuple[float, dict[str, float]]:
+    ce, _ = cross_entropy_into(z_in, y, z_out, params, d_in, d_out)
     p = _softmax(z_in)
     q = _softmax(z_out)
     s, pn, qn = _row_cosines(p, q)
-    cos_term = float(lam * s.mean())
-    if lam != 0.0:
-        g_in, g_out = _cosine_grads(p, q, s, pn, qn, lam / len(z_in))
+    cos_term = float(params.lam * s.mean())
+    if params.lam != 0.0:
+        g_in, g_out = _cosine_grads(p, q, s, pn, qn, params.lam / len(z_in))
         d_in += g_in
         d_out[...] = g_out
     else:
@@ -201,14 +207,10 @@ def cosine_margin_ranking_loss(
     The hinge takes subgradient 0 at its kink. There is no explicit
     cross-entropy term; the lambda2 anchor supplies the label signal.
     """
-    z_in, z_out = _check_pair(logits_in, logits_out)
-    n, k = z_in.shape
-    if k != params.k:
-        raise ValueError(f"params.k = {params.k} but logits have {k} classes")
-    y = _check_labels(labels, n, k)
-    d_in, d_out = np.empty_like(z_in), np.empty_like(z_out)
-    loss, terms = cosine_margin_ranking_into(z_in, y, z_out, params, d_in, d_out)
-    return LossResult(loss, d_in, d_out, terms)
+    z_in, y, z_out = _check_batch(logits_in, labels, logits_out)
+    if z_in.shape[1] != params.k:
+        raise ValueError(f"params.k = {params.k} but logits have {z_in.shape[1]} classes")
+    return _run_kernel(cosine_margin_ranking_into, z_in, y, z_out, params)
 
 
 def cosine_margin_ranking_into(
@@ -251,23 +253,22 @@ def outlier_exposure_loss(logits_in, labels, logits_out, lam: float) -> LossResu
     against the uniform distribution over the k classes."""
     if lam < 0:
         raise ValueError(f"outlier exposure weight must be >= 0, got {lam}")
-    z_in, z_out = _check_pair(logits_in, logits_out)
-    y = _check_labels(labels, *z_in.shape)
-    d_in, d_out = np.empty_like(z_in), np.empty_like(z_out)
-    loss, terms = outlier_exposure_into(z_in, y, z_out, lam, d_in, d_out)
-    return LossResult(loss, d_in, d_out, terms)
+    checked = _check_batch(logits_in, labels, logits_out)
+    return _run_kernel(outlier_exposure_into, *checked, ObjectiveParams(lam=lam))
 
 
-def outlier_exposure_into(z_in, y, z_out, lam, d_in, d_out) -> tuple[float, dict[str, float]]:
-    ce, _ = cross_entropy_into(z_in, y, d_in)
+def outlier_exposure_into(
+    z_in, y, z_out, params, d_in, d_out
+) -> tuple[float, dict[str, float]]:
+    ce, _ = cross_entropy_into(z_in, y, z_out, params, d_in, d_out)
     n, k = z_out.shape
     logq = _log_softmax(z_out)
-    oe_term = float(lam * (-logq.mean(axis=1)).mean())
-    if lam != 0.0:
+    oe_term = float(params.lam * (-logq.mean(axis=1)).mean())
+    if params.lam != 0.0:
         # (lam / n) * (exp(logq) - 1/k)
         np.exp(logq, out=d_out)
         d_out -= 1.0 / k
-        d_out *= lam / n
+        d_out *= params.lam / n
     else:
         d_out.fill(0.0)
     return ce + oe_term, {"ce": ce, "oe": oe_term}

@@ -6,11 +6,11 @@ way each kind runs, and the AUC helper takes it explicitly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .datasynth import write_csv
 from .nn import (
     ForwardTrace, MlpModel, forward, mc_dropout_probs, one_blas_thread, softmax,
 )
@@ -235,10 +235,6 @@ def write_score_dump(path, scores_id, scores_ood) -> None:
     """
     s_id = np.asarray(scores_id, dtype=np.float64).ravel()
     s_ood = np.asarray(scores_ood, dtype=np.float64).ravel()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["example_id", "score", "is_ood"])
-        for i, v in enumerate(s_id):
-            writer.writerow([i, repr(float(v)), 0])
-        for i, v in enumerate(s_ood):
-            writer.writerow([s_id.size + i, repr(float(v)), 1])
+    scores = [(v, 0) for v in s_id.tolist()] + [(v, 1) for v in s_ood.tolist()]
+    write_csv(path, "example_id,score,is_ood",
+              [f"{i},{v!r},{is_ood}" for i, (v, is_ood) in enumerate(scores)])

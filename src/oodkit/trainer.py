@@ -77,23 +77,19 @@ def _weight_l1(config: TrainConfig, model: MlpModel, grads: Gradients) -> dict:
 class ObjectiveSpec:
     """One row of the objective table.
 
-    loss(params, z_in, labels, z_out, d_in, d_out) runs the objective's
-    unchecked loss kernel: it writes the logit gradients into d_in and
-    d_out (both z_out and d_out are None without an outlier batch) and
-    returns (loss, terms). penalty(config, model, grads), if set, runs
-    once the OOD gradients are merged: it adds to grads in place and
-    returns extra loss terms. defaults are the objective's TrainConfig
-    overrides.
+    kernel names the objective's unchecked loss kernel in `objectives`,
+    called as kernel(z_in, labels, z_out, params, d_in, d_out): it writes
+    the logit gradients into d_in and d_out (both z_out and d_out are None
+    without an outlier batch) and returns (loss, terms).
+    penalty(config, model, grads), if set, runs once the OOD gradients are
+    merged: it adds to grads in place and returns extra loss terms.
+    defaults are the objective's TrainConfig overrides.
     """
 
-    loss: Callable[..., tuple[float, dict[str, float]]]
+    kernel: str
     needs_ood: bool = False
     penalty: Callable[..., dict[str, float]] | None = None
     defaults: dict = field(default_factory=dict)
-
-
-def _ce(params, z_in, y, z_out, d_in, d_out):
-    return objectives.cross_entropy_into(z_in, y, d_in)
 
 
 # Each kernel is looked up on the objectives module when it is called, so
@@ -107,30 +103,21 @@ def _ce(params, z_in, y, z_out, d_in, d_out):
 # disagreement signal is smaller than ce_cosine's and needs more samples
 # to resolve.
 OBJECTIVE_TABLE: dict[str, ObjectiveSpec] = {
-    "ce": ObjectiveSpec(_ce),
-    "ce_l1": ObjectiveSpec(_ce, penalty=_weight_l1),
+    "ce": ObjectiveSpec("cross_entropy_into"),
+    "ce_l1": ObjectiveSpec("cross_entropy_into", penalty=_weight_l1),
     "ce_cosine": ObjectiveSpec(
-        lambda p, z_in, y, z_out, d_in, d_out: objectives.ce_cosine_into(
-            z_in, y, z_out, p.lam, d_in, d_out
-        ),
-        needs_ood=True,
+        "ce_cosine_into", needs_ood=True,
         defaults={"lam": 1.0, "weight_decay": 3e-3, "dropout_rate": 0.2,
                   "mc_passes": 200},
     ),
     "cosine_margin": ObjectiveSpec(
-        lambda p, z_in, y, z_out, d_in, d_out: objectives.cosine_margin_ranking_into(
-            z_in, y, z_out, p, d_in, d_out
-        ),
-        needs_ood=True,
+        "cosine_margin_ranking_into", needs_ood=True,
         defaults={"hidden_dims": (128, 128), "dropout_rate": 0.4, "gamma": -0.5,
                   "lambda1": 0.35, "lambda2": 1.0, "alpha": 0.95,
                   "mc_passes": 200},
     ),
     "outlier_exposure": ObjectiveSpec(
-        lambda p, z_in, y, z_out, d_in, d_out: objectives.outlier_exposure_into(
-            z_in, y, z_out, p.lam, d_in, d_out
-        ),
-        needs_ood=True,
+        "outlier_exposure_into", needs_ood=True,
         defaults={"lam": 1.0, "dropout_rate": 0.2},
     ),
 }
@@ -172,13 +159,13 @@ class TrainConfig:
             raise ValueError(
                 f"objective must be one of {OBJECTIVES}, got {self.objective!r}"
             )
-        for name in ("epochs", "batch_size", "k", "mc_passes", "seed"):
+        for name, least in (("epochs", 1), ("batch_size", 1), ("k", 2), ("mc_passes", 1),
+                            ("seed", 0)):
             value = getattr(self, name)
             if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("epochs", "batch_size", "mc_passes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         # lr = 0 is allowed so a freeze run stays expressible
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
@@ -250,6 +237,16 @@ def init_model(config: TrainConfig, input_dim: int) -> MlpModel:
     )
 
 
+# The splits training reads: validation measures OOD separation on
+# train_ood for every objective, and OOD objectives also train on it.
+TRAIN_SPLITS = ("train", "val", "train_ood")
+
+
+def eval_splits(with_mahalanobis: bool) -> tuple[str, ...]:
+    """The splits evaluation reads; the Mahalanobis detector is fit on train."""
+    return ("test_id", "test_ood") + (("train",) if with_mahalanobis else ())
+
+
 def _require_splits(benchmark: dict[str, DatasetSplit], *roles: str) -> None:
     for role in roles:
         if role not in benchmark:
@@ -293,12 +290,12 @@ def _ood_seed(model: MlpModel, passes: int, mc_seed: int) -> int:
 
 
 def _ood_entropy(
-    model: MlpModel, val_ood: DatasetSplit, mc_seed: int, trace: ForwardTrace | None = None
+    model: MlpModel, ood: DatasetSplit, mc_seed: int, trace: ForwardTrace | None = None
 ) -> tuple[np.ndarray, ForwardTrace | None]:
     """The validation outlier split's entropy scores, for the epoch whose
     val split is scored with mc_seed; and the trace to pass back next
     epoch."""
-    samples, trace = _predictive(model, val_ood, _ood_seed(model, VAL_MC_PASSES, mc_seed),
+    samples, trace = _predictive(model, ood, _ood_seed(model, VAL_MC_PASSES, mc_seed),
                                  trace)
     return entropy_score(samples), trace
 
@@ -329,7 +326,7 @@ def _forks_validation_worker(model: MlpModel) -> bool:
 WORKER_EXIT_TIMEOUT_S = 5.0
 
 
-def _validation_worker(conn, parent_conn, models: list[MlpModel], val_ood: DatasetSplit,
+def _validation_worker(conn, parent_conn, models: list[MlpModel], ood_split: DatasetSplit,
                        seed: int, errstate: dict) -> None:
     """The validation worker's loop. Each request is an epoch number e,
     whose parameters models[e % 2] views. It replies with _ood_entropy's
@@ -343,7 +340,7 @@ def _validation_worker(conn, parent_conn, models: list[MlpModel], val_ood: Datas
         while True:
             epoch = conn.recv()
             try:
-                reply, _ = _ood_entropy(models[epoch % 2], val_ood,
+                reply, _ = _ood_entropy(models[epoch % 2], ood_split,
                                         derive_seed(seed, STREAM_VAL_MC, epoch))
             except Exception as exc:
                 reply = exc
@@ -365,7 +362,7 @@ class _ValidationWorker:
     once the reply to it has been read, so the worker is done with it.
     """
 
-    def __init__(self, model: MlpModel, val_ood: DatasetSplit, seed: int):
+    def __init__(self, model: MlpModel, ood_split: DatasetSplit, seed: int):
         import mmap
         import multiprocessing
 
@@ -379,7 +376,7 @@ class _ValidationWorker:
         self.conn, child_conn = context.Pipe()
         self.process = context.Process(
             target=_validation_worker,
-            args=(child_conn, self.conn, models, val_ood, seed, np.geterr()),
+            args=(child_conn, self.conn, models, ood_split, seed, np.geterr()),
             daemon=True,
         )
         self.process.start()
@@ -427,14 +424,14 @@ class _Validation:
     """
 
     def __init__(self, config: TrainConfig, model: MlpModel, flat: np.ndarray,
-                 val: DatasetSplit, val_ood: DatasetSplit, history: TrainHistory):
+                 val: DatasetSplit, ood_split: DatasetSplit, history: TrainHistory):
         self.config, self.model, self.flat, self.history = config, model, flat, history
-        self.val, self.val_ood = val, val_ood
+        self.val, self.ood_split = val, ood_split
         self.pending: tuple | None = None
         self.val_trace = self.ood_trace = None
         self.best_criterion = None
         self.best_params: np.ndarray | None = None
-        self.worker = (_ValidationWorker(model, val_ood, config.seed)
+        self.worker = (_ValidationWorker(model, ood_split, config.seed)
                        if _forks_validation_worker(model) else None)
 
     def end_epoch(self, epoch: int, train_loss: float, terms: dict[str, float]) -> None:
@@ -467,7 +464,7 @@ class _Validation:
                 ood_entropy = self.worker.result()
             else:
                 ood_entropy, self.ood_trace = _ood_entropy(
-                    self.model, self.val_ood, mc_seed, self.ood_trace)
+                    self.model, self.ood_split, mc_seed, self.ood_trace)
             ent_auc = 100.0 * auc_roc(val_entropy, ood_entropy,
                                       SCORE_ORIENTATION["entropy"])
         except ValueError as exc:
@@ -550,11 +547,6 @@ class _BatchBuffers:
                              self.d_in[:n], rows(self.d_out))
 
 
-def _check_finite(array: np.ndarray, name: str) -> None:
-    if not np.isfinite(array).all():
-        raise ValueError(f"non-finite entries in {name}")
-
-
 # numpy's overflow warnings are silenced: the explicit finiteness checks
 # report a blow-up as TrainingDiverged, which says where it happened.
 @np.errstate(all="ignore")
@@ -564,11 +556,10 @@ def train(
 ) -> tuple[MlpModel, TrainHistory]:
     """Train a copy of `model` under the configured objective.
 
-    benchmark needs "train" and "val", and every objective needs
-    "val_ood" or "train_ood" for validation: OOD separation is measured
-    against "val_ood" when present, else against "train_ood" (the
-    held-out test_ood split is never touched here). OOD-consuming
-    objectives also train on "train_ood".
+    benchmark needs the TRAIN_SPLITS: every objective measures OOD
+    separation against "train_ood" in validation (the held-out test_ood
+    split is never touched here), and OOD-consuming objectives also train
+    on it.
 
     Every batch step runs in buffers allocated once per call. The model
     being trained keeps its weights and biases as views of one flat
@@ -583,19 +574,12 @@ def train(
     scores the outlier split of epoch e while epoch e + 1 trains. The
     history and the returned model are the same bytes either way.
     """
-    _require_splits(benchmark, "train", "val")
-    train_split = benchmark["train"]
-    val_split = benchmark["val"]
-    if config.needs_ood():
-        _require_splits(benchmark, "train_ood")
-    val_ood = benchmark.get("val_ood") or benchmark.get("train_ood")
-    if val_ood is None:
-        raise ValueError("benchmark needs train_ood or val_ood for validation")
-    features = np.asarray(train_split.features, dtype=np.float64)
-    labels = train_split.labels
+    _require_splits(benchmark, *TRAIN_SPLITS)
+    train_split, val_split, ood_split = (benchmark[role] for role in TRAIN_SPLITS)
+    # a DatasetSplit's features are finite float64 from construction on
+    features, labels = train_split.features, train_split.labels
     if model.input_dim != features.shape[1]:
         raise ValueError("model input dim does not match training features")
-    _check_finite(features, "training features")
     k = model.num_classes
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"training labels must lie in [0, {k}), got range "
@@ -611,9 +595,7 @@ def train(
     ood_pos = 0
     if config.needs_ood():
         ood_rng = derive_rng(config.seed, STREAM_OOD_SHUFFLE)
-        ood_features = np.asarray(benchmark["train_ood"].features, dtype=np.float64)
-        _check_finite(ood_features, "outlier features")
-        ood_features = ood_features[ood_rng.permutation(len(ood_features))]
+        ood_features = ood_split.features[ood_rng.permutation(len(ood_split))]
 
     def next_ood_batch(out: np.ndarray) -> None:
         # cyclic pointer: every outlier is consumed once per wrap
@@ -641,7 +623,7 @@ def train(
 
     history = TrainHistory()
     dropout_counter = 0
-    validation = _Validation(config, model, flat, val_split, val_ood, history)
+    validation = _Validation(config, model, flat, val_split, ood_split, history)
     try:
         for epoch in range(1, config.epochs + 1):
             perm = shuffle_rng.permutation(n_train)
@@ -676,8 +658,8 @@ def train(
                     raise TrainingDiverged(
                         f"non-finite logits at epoch {epoch}", history
                     )
-                loss, terms = spec.loss(params, logits_in, step.labels, logits_out,
-                                        step.d_in, step.d_out)
+                loss, terms = getattr(objectives, spec.kernel)(
+                    logits_in, step.labels, logits_out, params, step.d_in, step.d_out)
 
                 backward_into(model, step.trace_in, step.d_in, grads, step.deltas)
                 if logits_out is not None:
@@ -756,6 +738,23 @@ def _sweep_task(
     return (best.val_accuracy, best.val_entropy_auc, trained)
 
 
+def grid_configs(base_config: TrainConfig, grid: list[dict]) -> list[TrainConfig]:
+    """The config of every grid point: base_config with the point's
+    overrides. Raises ValueError naming the first invalid point."""
+    if not grid:
+        raise ValueError("grid must contain at least one point")
+    configs: list[TrainConfig] = []
+    for i, overrides in enumerate(grid):
+        bad = set(overrides) - {f.name for f in dataclasses.fields(TrainConfig)}
+        if bad:
+            raise ValueError(f"grid point {i} has unknown fields: {sorted(bad)}")
+        try:
+            configs.append(dataclasses.replace(base_config, **overrides))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"grid point {i} invalid: {exc}") from exc
+    return configs
+
+
 def sweep(
     base_config: TrainConfig,
     grid: list[dict],
@@ -777,20 +776,9 @@ def sweep(
     results are merged by grid index, so the leaderboard is independent
     of scheduling.
     """
-    if not grid:
-        raise ValueError("grid must contain at least one point")
+    configs = grid_configs(base_config, grid)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    configs: list[TrainConfig] = []
-    for i, overrides in enumerate(grid):
-        bad = set(overrides) - {f.name for f in dataclasses.fields(TrainConfig)}
-        if bad:
-            raise ValueError(f"grid point {i} has unknown fields: {sorted(bad)}")
-        try:
-            cfg = dataclasses.replace(base_config, **overrides)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"grid point {i} invalid: {exc}") from exc
-        configs.append(cfg)
 
     task = functools.partial(_sweep_task, benchmark=benchmark)
     # the fork start method launches every worker at the first submit
@@ -949,8 +937,7 @@ def evaluate_model(
     identically zero and its AUC degenerates to 50.00 (flagged in
     warnings).
     """
-    roles = ("test_id", "test_ood") + (("train",) if with_mahalanobis else ())
-    _require_splits(benchmark, *roles)
+    _require_splits(benchmark, *eval_splits(with_mahalanobis))
     test_id = benchmark["test_id"]
     pops, id_samples = score_populations(
         model,
@@ -973,7 +960,7 @@ def run_experiment(
     with_corruptions: bool = False,
 ) -> tuple[MlpModel, TrainHistory, EvalReport]:
     """Init, train, and evaluate in one deterministic call."""
-    _require_splits(benchmark, "train", "val", "test_id", "test_ood")
+    _require_splits(benchmark, *TRAIN_SPLITS, *eval_splits(with_mahalanobis))
     model = init_model(config, benchmark["train"].features.shape[1])
     trained, history = train(config, benchmark, model)
     report = evaluate_model(

@@ -791,3 +791,79 @@ def test_degenerate_mahalanobis_fit_exits_3(pipeline, tmp_path, capsys, case, re
     assert err.startswith("data error:") and reason in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _argv(pipeline, tmp_path, command, config, grid_point):
+    """argv for `command` on the shared pipeline, with `config` as the
+    config file and one grid point for sweep."""
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, config)
+    grid = tmp_path / "grid.json"
+    write_json(grid, {"grid_version": 1, "grid": [grid_point]})
+    paths = {"--config": cfg, "--data": pipeline["data"], "--model": pipeline["model"],
+             "--grid": grid}
+    return [command] + [arg for flag in INPUT_FLAGS[command]
+                        for arg in (flag, str(paths[flag]))]
+
+
+@pytest.mark.parametrize("command,form", [
+    *((command, "flag") for command in INPUT_FLAGS),
+    ("gen-data", "config"),
+    ("train", "config"),
+    ("sweep", "config"),
+    ("sweep", "grid"),
+])
+def test_negative_seed_exits_2(pipeline, tmp_path, capsys, command, form):
+    config = {**BASE_CONFIG, "train": {"objective": "ce", "epochs": 1}}
+    if form == "config":
+        section = "data" if command == "gen-data" else "train"
+        config[section] = {**config[section], "seed": -3}
+    out = tmp_path / "out"
+    argv = _argv(pipeline, tmp_path, command, config,
+                 {"seed": -1} if form == "grid" else {"lr": 0.05})
+    argv += ["--out", str(out)] + (["--seed", "-1"] if form == "flag" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed must be >= 0" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_on_out_of_range_labels_exits_3(pipeline, tmp_path, capsys, workers):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("val.csv", "train_ood.csv"):
+        (data / name).write_bytes((pipeline["data"] / name).read_bytes())
+    train = read_split(pipeline["data"] / "train.csv", role="train")
+    labels = train.labels.copy()
+    labels[0] = 5
+    write_split(DatasetSplit(train.features, labels, "train"), data / "train.csv")
+    grid = tmp_path / "grid.json"
+    write_json(grid, {"grid_version": 1, "grid": [{"lr": 0.05}, {"lr": 0.1}]})
+    out = tmp_path / "sweep"
+    assert main([
+        "sweep", "--config", str(pipeline["config"]), "--grid", str(grid),
+        "--data", str(data), "--out", str(out), "--workers", workers,
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err == "data error: training labels must lie in [0, 3), got range [0, 5]\n"
+    assert not out.exists()
+
+
+def test_sweep_checks_its_grid_before_reading_data(pipeline, tmp_path, capsys):
+    argv = _argv(pipeline, tmp_path, "sweep", BASE_CONFIG, {"lr": -1.0})
+    argv[argv.index("--data") + 1] = str(tmp_path / "nowhere")
+    assert main(argv + ["--out", str(tmp_path / "sweep")]) == 2
+    assert capsys.readouterr().err.startswith("config error: grid point 0 invalid")
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "sweep"])
+def test_eval_section_keys_exit_2(pipeline, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    config = {**BASE_CONFIG, "eval": {"anything": 1}}
+    argv = _argv(pipeline, tmp_path, command, config, {"lr": 0.05})
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: unknown keys in config section 'eval': ['anything']\n"
+    assert not out.exists()

@@ -6,9 +6,13 @@ from hypothesis import strategies as st
 from oodkit.nn import softmax
 from oodkit.objectives import (
     ObjectiveParams,
+    ce_cosine_into,
     ce_cosine_loss,
+    cosine_margin_ranking_into,
     cosine_margin_ranking_loss,
+    cross_entropy_into,
     cross_entropy_loss,
+    outlier_exposure_into,
     outlier_exposure_loss,
     triplet_ranking_loss,
 )
@@ -72,7 +76,9 @@ def reference_log_softmax(z):
        seed=st.integers(0, 2**32 - 1))
 def test_in_place_kernels_equal_the_reference_expressions(rows, k, lam, seed):
     # the expressions cross_entropy_loss and outlier_exposure_loss used
-    # before their kernels wrote into caller buffers
+    # before their kernels wrote into caller buffers; then every kernel,
+    # called in the one shape (z_in, y, z_out, params, d_in, d_out) the
+    # training step uses, against its public loss
     rng = np.random.default_rng(seed)
     z_in = rng.normal(0.0, 3.0, size=(rows, k))
     z_out = rng.normal(0.0, 3.0, size=(rows, k))
@@ -94,6 +100,19 @@ def test_in_place_kernels_equal_the_reference_expressions(rows, k, lam, seed):
     assert result.loss == ce + oe
     assert result.d_logits_in.tobytes() == d_in.tobytes()
     assert result.d_logits_out.tobytes() == d_out.tobytes()
+
+    params = ObjectiveParams(lam=lam, k=k)
+    for kernel, expected in (
+        (cross_entropy_into, cross_entropy_loss(z_in, y)),
+        (ce_cosine_into, ce_cosine_loss(z_in, y, z_out, lam)),
+        (cosine_margin_ranking_into, cosine_margin_ranking_loss(z_in, y, z_out, params)),
+        (outlier_exposure_into, outlier_exposure_loss(z_in, y, z_out, lam)),
+    ):
+        d_in, d_out = np.full_like(z_in, np.nan), np.full_like(z_out, np.nan)
+        assert kernel(z_in, y, z_out, params, d_in, d_out) == (expected.loss, expected.terms)
+        assert d_in.tobytes() == expected.d_logits_in.tobytes()
+        if expected.d_logits_out is not None:
+            assert d_out.tobytes() == expected.d_logits_out.tobytes()
 
 
 def test_ce_input_validation():

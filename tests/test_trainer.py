@@ -398,8 +398,8 @@ def test_non_finite_gradient_diverges_before_the_update(tiny_benchmark, monkeypa
     real_loss, real_update = objectives.cross_entropy_into, trainer_mod.sgd_update
     losses, params = [], []
 
-    def poisoned(z_in, y, d_in):
-        result = real_loss(z_in, y, d_in)
+    def poisoned(z_in, y, z_out, params, d_in, d_out):
+        result = real_loss(z_in, y, z_out, params, d_in, d_out)
         losses.append(result[0])
         if len(losses) == 3:
             d_in[0, 0] = np.nan  # the loss stays finite, the gradient does not
