@@ -72,7 +72,7 @@ def _reject_constant(token: str):
     raise ValueError(f"{token} is not a JSON number")
 
 
-def _load_json(path, what: str, version_key: str) -> dict:
+def _load_json(path, what: str, version_key: str, keys: tuple[str, ...]) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
@@ -86,14 +86,14 @@ def _load_json(path, what: str, version_key: str) -> dict:
         raise ConfigError(
             f"{version_key} must be {CONFIG_VERSION}, got {doc.get(version_key)!r}"
         )
+    unknown = set(doc) - {version_key, *keys}
+    if unknown:
+        raise ConfigError(f"unknown keys in {what} {path}: {sorted(unknown)}")
     return doc
 
 
 def load_config(path) -> dict:
-    doc = _load_json(path, "config file", "config_version")
-    unknown = set(doc) - {"config_version", "data", "train", "eval"}
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    doc = _load_json(path, "config file", "config_version", ("data", "train", "eval"))
     # no command reads an eval key yet
     _section(doc, "eval", ())
     return doc
@@ -211,15 +211,20 @@ def _check_input_dim(model: MlpModel, split) -> None:
 
 
 def _resolve_out(arg_out: str | None, command: str) -> Path:
-    """--out wins; otherwise $OODKIT_OUT_ROOT/<command>."""
-    if arg_out is not None:
-        return Path(arg_out)
+    """--out wins; otherwise $OODKIT_OUT_ROOT/<command>. Neither it nor its
+    nearest existing ancestor may be anything but a directory, or the
+    command's mkdir, its last step, would fail after all its work."""
     root = os.environ.get(OUT_ROOT_ENV)
-    if root:
-        return Path(root) / command
-    raise ConfigError(
-        f"no output directory: pass --out or set {OUT_ROOT_ENV}"
-    )
+    if arg_out is None and not root:
+        raise ConfigError(
+            f"no output directory: pass --out or set {OUT_ROOT_ENV}"
+        )
+    out = Path(arg_out) if arg_out is not None else Path(root) / command
+    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {out} cannot be made: {existing} "
+                          "is not a directory")
+    return out
 
 
 # the least value of every numeric flag, checked before any command runs
@@ -406,7 +411,7 @@ def cmd_corrupt_eval(args, out_dir: Path) -> int:
 def cmd_sweep(args, out_dir: Path) -> int:
     doc = load_config(args.config)
     base_config = train_config_from(doc, seed_override=args.seed)
-    grid = _load_json(args.grid, "grid file", "grid_version").get("grid")
+    grid = _load_json(args.grid, "grid file", "grid_version", ("grid",)).get("grid")
     if not isinstance(grid, list) or not all(isinstance(g, dict) for g in grid):
         raise ConfigError("grid file must contain a 'grid' list of objects")
 

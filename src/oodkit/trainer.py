@@ -321,106 +321,46 @@ def _forks_validation_worker(model: MlpModel) -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-# Seconds the validation worker gets to exit once its pipe closes, after
-# which it is killed. A stop waits for at most one epoch's scoring.
-WORKER_EXIT_TIMEOUT_S = 5.0
-
-
-def _validation_worker(conn, parent_conn, models: list[MlpModel], ood_split: DatasetSplit,
-                       seed: int, errstate: dict) -> None:
-    """The validation worker's loop. Each request is an epoch number e,
-    whose parameters models[e % 2] views. It replies with _ood_entropy's
-    scores, or the exception that raised. It returns once the pipe
-    closes."""
-    parent_conn.close()
+def _init_validation_worker(errstate: dict) -> None:
     # an interrupt is the trainer's to handle; it then stops this worker
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     np.seterr(**errstate)
+
+
+def _ood_entropy_task(snapshot: np.ndarray, layer_dims: list[int], dropout_rate: float,
+                      ood_split: DatasetSplit, mc_seed: int) -> np.ndarray:
+    """_ood_entropy's scores for the model whose flat parameters are
+    snapshot, as the validation worker computes them. The model is built
+    here, so non-finite parameters raise where the epoch's scores are
+    read; and _ood_entropy is looked up as the task runs, so a wrapper
+    installed before the fork runs in the worker."""
+    model = MlpModel(layer_dims, *_layer_views(snapshot, layer_dims), dropout_rate)
+    return _ood_entropy(model, ood_split, mc_seed)[0]
+
+
+def _from_worker(call: Callable, *args):
+    """call(*args), raising a dead validation worker's BrokenExecutor as RuntimeError."""
+    from concurrent.futures import BrokenExecutor
+
     try:
-        while True:
-            epoch = conn.recv()
-            try:
-                reply, _ = _ood_entropy(models[epoch % 2], ood_split,
-                                        derive_seed(seed, STREAM_VAL_MC, epoch))
-            except Exception as exc:
-                reply = exc
-            conn.send(reply)
-    except (EOFError, OSError):
-        pass
-
-
-class _ValidationWorker:
-    """A process, forked once per train call, that scores the validation
-    outlier split for one epoch while the caller trains the next.
-
-    Epoch e's parameters go through slot e % 2 of memory that both
-    processes share, so the pipe carries only epoch numbers one way and
-    scores the other. The caller's sends are small and never wait for the
-    worker, and the worker's reply waits only for the caller to read it:
-    neither process can wait in a send for the other, however large the
-    model or the split. A slot is rewritten two epochs after it was sent,
-    once the reply to it has been read, so the worker is done with it.
-    """
-
-    def __init__(self, model: MlpModel, ood_split: DatasetSplit, seed: int):
-        import mmap
-        import multiprocessing
-
-        size = sum(a.size for a in model.weights + model.biases)
-        # anonymous and shared: the forked worker sees what is written here
-        self.slots = np.frombuffer(mmap.mmap(-1, 2 * size * 8),
-                                   dtype=np.float64).reshape(2, size)
-        models = [MlpModel(model.layer_dims, *_layer_views(slot, model.layer_dims),
-                           model.dropout_rate) for slot in self.slots]
-        context = multiprocessing.get_context("fork")
-        self.conn, child_conn = context.Pipe()
-        self.process = context.Process(
-            target=_validation_worker,
-            args=(child_conn, self.conn, models, ood_split, seed, np.geterr()),
-            daemon=True,
-        )
-        self.process.start()
-        # the worker's end stays open only in the worker, so its exit
-        # reads as EOF here
-        child_conn.close()
-
-    def submit(self, epoch: int, params: np.ndarray) -> None:
-        self.slots[epoch % 2] = params
-        try:
-            self.conn.send(epoch)
-        except OSError as exc:
-            raise RuntimeError("the validation worker exited unexpectedly") from exc
-
-    def result(self) -> np.ndarray:
-        """The scores of the oldest submitted epoch not yet returned; raises
-        what scoring raised."""
-        try:
-            reply = self.conn.recv()
-        except (EOFError, OSError) as exc:
-            raise RuntimeError("the validation worker exited unexpectedly") from exc
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
-
-    def close(self) -> None:
-        """Close the pipe, which stops the worker, and join it."""
-        self.conn.close()
-        self.process.join(WORKER_EXIT_TIMEOUT_S)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join()
+        return call(*args)
+    except BrokenExecutor as exc:
+        raise RuntimeError("the validation worker exited unexpectedly") from exc
 
 
 class _Validation:
     """Per-epoch validation and checkpoint selection for one train call.
 
-    end_epoch(e) keeps a snapshot of the parameters, hands the outlier
-    split to the worker if there is one, and scores val on the calling
-    thread. It then resolves epoch e - 1 if it is pending, which it is
-    only with a worker, and makes e the pending epoch; without a worker
-    it resolves e at once. Resolving an epoch appends its EpochRecord and
-    applies the selection rule, in epoch order, so the history is the
-    same either way.
+    Under _forks_validation_worker's rule, the outlier split is scored in
+    a one-process pool forked at the first epoch's end. end_epoch(e) keeps
+    a snapshot of the parameters, submits the outlier split's scoring to
+    the pool if there is one, and scores val on the calling thread. It
+    then resolves epoch e - 1 if it is pending, which it is only with a
+    pool, and makes e the pending epoch; without a pool it resolves e at
+    once. Resolving an epoch appends its EpochRecord and applies the
+    selection rule, in epoch order, so the history is the same either way.
+    The pool's feeder thread sends the snapshots, so neither process
+    waits in a send for the other.
     """
 
     def __init__(self, config: TrainConfig, model: MlpModel, flat: np.ndarray,
@@ -431,14 +371,23 @@ class _Validation:
         self.val_trace = self.ood_trace = None
         self.best_criterion = None
         self.best_params: np.ndarray | None = None
-        self.worker = (_ValidationWorker(model, ood_split, config.seed)
-                       if _forks_validation_worker(model) else None)
+        self.pool = None
+        if _forks_validation_worker(model):
+            # imported here: `import oodkit` then loads no multiprocessing
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            self.pool = ProcessPoolExecutor(1, multiprocessing.get_context("fork"),
+                                            _init_validation_worker, (np.geterr(),))
 
     def end_epoch(self, epoch: int, train_loss: float, terms: dict[str, float]) -> None:
         snapshot = self.flat.copy()
         mc_seed = derive_seed(self.config.seed, STREAM_VAL_MC, epoch)
-        if self.worker is not None:
-            self.worker.submit(epoch, snapshot)
+        future = None
+        if self.pool is not None:
+            future = _from_worker(self.pool.submit, _ood_entropy_task, snapshot,
+                                  self.model.layer_dims, self.model.dropout_rate,
+                                  self.ood_split, mc_seed)
         try:
             val_acc, val_entropy, self.val_trace = _validation_metrics(
                 self.model, self.val, mc_seed, self.val_trace)
@@ -447,9 +396,9 @@ class _Validation:
             self.resolve_pending()
             raise self._diverged(epoch) from exc
         self.resolve_pending()
-        self.pending = (epoch, snapshot, mc_seed, train_loss, terms, val_acc,
+        self.pending = (epoch, snapshot, mc_seed, future, train_loss, terms, val_acc,
                         val_entropy)
-        if self.worker is None:
+        if future is None:
             # the model's parameters are still the snapshot's
             self.resolve_pending()
 
@@ -457,11 +406,12 @@ class _Validation:
         """Resolve the pending epoch, if there is one."""
         if self.pending is None:
             return
-        epoch, snapshot, mc_seed, train_loss, terms, val_acc, val_entropy = self.pending
+        (epoch, snapshot, mc_seed, future, train_loss, terms, val_acc,
+         val_entropy) = self.pending
         self.pending = None
         try:
-            if self.worker is not None:
-                ood_entropy = self.worker.result()
+            if future is not None:
+                ood_entropy = _from_worker(future.result)
             else:
                 ood_entropy, self.ood_trace = _ood_entropy(
                     self.model, self.ood_split, mc_seed, self.ood_trace)
@@ -480,8 +430,8 @@ class _Validation:
             self.best_params = snapshot
 
     def close(self) -> None:
-        if self.worker is not None:
-            self.worker.close()
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
 
     def _diverged(self, epoch: int) -> TrainingDiverged:
         # finite but extreme parameters can overflow the validation
@@ -570,9 +520,11 @@ def train(
 
     When validation draws MC passes, the process may use two CPUs and is
     not a multiprocessing worker, the calling thread is the only thread
-    and the platform can fork, a worker process forked for this call
+    and the platform can fork, a one-process pool forked for this call
     scores the outlier split of epoch e while epoch e + 1 trains. The
-    history and the returned model are the same bytes either way.
+    history and the returned model are the same bytes either way. The
+    pool is shut down and its worker joined however the call ends; if the
+    worker dies, the call raises RuntimeError.
     """
     _require_splits(benchmark, *TRAIN_SPLITS)
     train_split, val_split, ood_split = (benchmark[role] for role in TRAIN_SPLITS)

@@ -360,9 +360,9 @@ INPUT_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("command", INPUT_FLAGS)
-def test_missing_out_dir_and_env(pipeline, tmp_path, monkeypatch, capsys, command):
-    monkeypatch.delenv(OUT_ROOT_ENV, raising=False)
+def spy_on_work(monkeypatch) -> list:
+    """The names of the cli's data-reading and computing calls, in a list
+    that fills as they are made."""
     called = []
     for name in ("make_default_benchmark", "train", "sweep", "corruption_error_table",
                  "score_populations", "read_split", "load_model"):
@@ -373,6 +373,13 @@ def test_missing_out_dir_and_env(pipeline, tmp_path, monkeypatch, capsys, comman
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(oodkit.cli, name, spy)
+    return called
+
+
+@pytest.mark.parametrize("command", INPUT_FLAGS)
+def test_missing_out_dir_and_env(pipeline, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.delenv(OUT_ROOT_ENV, raising=False)
+    called = spy_on_work(monkeypatch)
     grid = tmp_path / "grid.json"
     write_json(grid, {"grid_version": 1, "grid": [{"lam": 0.5}]})
     paths = {"--config": pipeline["config"], "--data": pipeline["data"],
@@ -866,4 +873,34 @@ def test_eval_section_keys_exit_2(pipeline, tmp_path, capsys, command):
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "config error: unknown keys in config section 'eval': ['anything']\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("form", ["the file", "under the file"])
+@pytest.mark.parametrize("command", INPUT_FLAGS)
+def test_out_blocked_by_a_file_exits_2_before_any_work(
+    pipeline, tmp_path, monkeypatch, capsys, command, form
+):
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept\n")
+    out = blocker if form == "the file" else blocker / "sub"
+    argv = _argv(pipeline, tmp_path, command, BASE_CONFIG, {"lr": 0.05})
+    before = sorted(tmp_path.iterdir())
+    called = spy_on_work(monkeypatch)
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: output directory {out} cannot be made: "
+                   f"{blocker} is not a directory\n")
+    assert called == []
+    assert sorted(tmp_path.iterdir()) == before and blocker.read_text() == "kept\n"
+
+
+def test_unknown_grid_key_exits_2(pipeline, tmp_path, capsys):
+    argv = _argv(pipeline, tmp_path, "sweep", BASE_CONFIG, {"lr": 0.05})
+    grid = tmp_path / "grid.json"
+    write_json(grid, {"grid_version": 1, "grid": [{"lr": 0.05}], "bogus": 3})
+    out = tmp_path / "sweep"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: unknown keys in grid file {grid}: ['bogus']\n"
     assert not out.exists()

@@ -645,19 +645,22 @@ def mc_config(objective: str, epochs: int) -> TrainConfig:
 
 @pytest.fixture
 def started_workers(monkeypatch):
-    """The validation workers train starts during the test."""
+    """One entry per validation pool that train starts during the test:
+    the pool's worker processes, read as train shuts the pool down (the
+    pool forgets them once they exit)."""
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("the validation worker needs the fork start method")
     started = []
-    real = trainer_mod._ValidationWorker.__init__
+    real = trainer_mod._Validation.close
 
-    def recording(self, *args):
-        real(self, *args)
-        started.append(self)
+    def recording(self):
+        if self.pool is not None:
+            started.append(list(self.pool._processes.values()))
+        real(self)
 
-    monkeypatch.setattr(trainer_mod._ValidationWorker, "__init__", recording)
+    monkeypatch.setattr(trainer_mod._Validation, "close", recording)
     return started
 
 
@@ -802,10 +805,10 @@ def test_train_leaves_no_child_behind(
         count_steps(monkeypatch, fail_at=batches + 1, error=KeyboardInterrupt())
         with pytest.raises(KeyboardInterrupt):
             train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
-    [worker] = started_workers
+    [[worker]] = started_workers
     assert multiprocessing.active_children() == []
-    # it stopped once its pipe closed; it was not killed
-    assert worker.process.exitcode == 0
+    # it stopped once the pool shut down; it was not killed
+    assert worker.exitcode == 0
 
 
 def test_the_worker_passes_messages_larger_than_the_pipe_buffer(
@@ -842,43 +845,66 @@ def test_the_worker_passes_messages_larger_than_the_pipe_buffer(
     assert [r.epoch for r in history.records] == [1, 2, 3]
 
 
-def test_the_worker_scores_what_it_is_sent_and_exits_on_eof(tiny_benchmark):
+def test_the_worker_task_scores_as_ood_entropy(tiny_benchmark):
     model = init_mlp([2, 8, 3], dropout_rate=0.3, seed=0)
     split = tiny_benchmark["train_ood"]
-    worker = trainer_mod._ValidationWorker(model, split, 7)
-    try:
-        # odd and even epochs go through the two shared slots
-        for epoch in (4, 5, 6):
-            model.weights[0] *= 1.5
-            worker.submit(epoch, np.concatenate(
-                [a.ravel() for a in model.weights + model.biases]))
-            expected, _ = trainer_mod._ood_entropy(model, split,
-                                                   derive_seed(7, STREAM_VAL_MC, epoch))
-            assert worker.result().tobytes() == expected.tobytes()
-        # the pipe closes with no stop message
-        worker.conn.close()
-        worker.process.join(60)
-        assert worker.process.exitcode == 0
-    finally:
-        if worker.process.is_alive():
-            worker.process.kill()
-            worker.process.join()
+    for epoch in (4, 5):
+        model.weights[0] *= 1.5
+        snapshot = np.concatenate([a.ravel() for a in model.weights + model.biases])
+        mc_seed = derive_seed(7, STREAM_VAL_MC, epoch)
+        scores = trainer_mod._ood_entropy_task(snapshot, model.layer_dims,
+                                               model.dropout_rate, split, mc_seed)
+        expected, _ = trainer_mod._ood_entropy(model, split, mc_seed)
+        assert scores.tobytes() == expected.tobytes()
 
 
-def test_train_raises_when_the_worker_dies(tiny_benchmark, monkeypatch, started_workers):
+def die_in_the_worker_at(monkeypatch, cfg: TrainConfig, epoch: int) -> None:
+    """Give train a validation worker that exits with code 3 as it scores
+    the outlier split of epoch."""
     import multiprocessing
+
+    real = trainer_mod._ood_entropy
+    seed = derive_seed(cfg.seed, STREAM_VAL_MC, epoch)
 
     def dying(*args):
         # only ever in the worker: the inline path would end the test run
         assert multiprocessing.parent_process() is not None
-        os._exit(3)
+        if args[2] == seed:
+            os._exit(3)
+        return real(*args)
 
     monkeypatch.setattr(nn_mod, "available_cpus", lambda: 2)
     monkeypatch.setattr(trainer_mod, "_ood_entropy", dying)
+
+
+def test_train_raises_when_the_worker_dies(tiny_benchmark, monkeypatch, started_workers):
     cfg = mc_config("ce_cosine", epochs=3)
+    die_in_the_worker_at(monkeypatch, cfg, 1)
+    end_epoch = trainer_mod._Validation.end_epoch
+
+    def after_the_death(self, epoch, *args):
+        if epoch == 2:
+            # the pool's manager thread ends once it has marked the pool
+            # broken, so epoch 2's submit is what sees the death
+            self.pool._executor_manager_thread.join(60)
+            assert self.pool._broken
+        end_epoch(self, epoch, *args)
+
+    monkeypatch.setattr(trainer_mod._Validation, "end_epoch", after_the_death)
     with pytest.raises(RuntimeError, match="validation worker exited unexpectedly"):
         train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
-    assert started_workers[0].process.exitcode == 3
+    assert started_workers[0][0].exitcode == 3
+
+
+def test_train_raises_when_the_worker_dies_in_the_last_epoch(
+    tiny_benchmark, monkeypatch, started_workers
+):
+    cfg = mc_config("ce_cosine", epochs=3)
+    # no submit follows: the death shows where the last scores are read
+    die_in_the_worker_at(monkeypatch, cfg, 3)
+    with pytest.raises(RuntimeError, match="validation worker exited unexpectedly"):
+        train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
+    assert started_workers[0][0].exitcode == 3
 
 
 def test_the_worker_rule_falls_back_inline(tiny_benchmark, monkeypatch, started_workers):
