@@ -319,10 +319,10 @@ def cmd_eval(args, out_dir: Path) -> int:
             seed=args.seed,
             train_split=benchmark.get("train"),
         )
+        report = eval_report(test_id, pops, id_samples, args.mc_passes)
     except ValueError as exc:
-        # a train split the Mahalanobis fit cannot use, or overflowing outputs
+        # a train split the Mahalanobis fit cannot use, or overflowing scores
         raise DataError(f"cannot evaluate {args.model} on {data_dir}: {exc}") from exc
-    report = eval_report(test_id, pops, id_samples, args.mc_passes)
     # the MC draws would otherwise stay alive through the decision grids,
     # whose two layer buffers of resolution**2 rows are the largest arrays
     # the command holds after scoring
@@ -384,10 +384,14 @@ def cmd_corrupt_eval(args, out_dir: Path) -> int:
             "the corruption suite needs 2-D features (rotate is planar), but "
             f"{data_dir / 'test_id.csv'} has {test_id.features.shape[1]} columns"
         )
-    clean_error = round(
-        100.0 - accuracy(classify(model, test_id.features), test_id.labels), 2
-    )
-    table = corruption_error_table(model, test_id, args.seed)
+    try:
+        clean_error = round(
+            100.0 - accuracy(classify(model, test_id.features), test_id.labels), 2
+        )
+        table = corruption_error_table(model, test_id, args.seed)
+    except ValueError as exc:
+        # a model whose outputs overflow
+        raise DataError(f"cannot evaluate {args.model} on {data_dir}: {exc}") from exc
     rounded = {
         kind: {str(sev): round(err, 2) for sev, err in row.items()}
         for kind, row in table.items()

@@ -59,7 +59,7 @@ def accuracy(predictions, labels) -> float:
 def classify(model: MlpModel, inputs) -> np.ndarray:
     """Argmax class of the pass-averaged predictive distribution, which
     is one eval pass for now."""
-    samples, _ = predictive_samples(model, inputs, passes=1, seed=0)
+    samples = predictive_samples(model, inputs, passes=1, seed=0)
     return samples.mean_probs().argmax(axis=1)
 
 

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasynth import write_csv
-from .nn import (
-    ForwardTrace, MlpModel, forward, mc_dropout_probs, one_blas_thread, softmax,
-)
+from .nn import MlpModel, forward, mc_dropout_probs, one_blas_thread, softmax
 from .seeding import STREAM_MC, derive_seed
 
 # kind -> the population it scores higher, in report order
@@ -85,18 +83,17 @@ def uses_mc(model: MlpModel, passes: int) -> bool:
 @one_blas_thread()
 def predictive_samples(
     model: MlpModel, inputs, passes: int, seed: int
-) -> tuple[PredictiveSamples, ForwardTrace | None]:
-    """The model's predictive distribution on `inputs`, as it deploys.
+) -> PredictiveSamples:
+    """The model's predictive distribution on `inputs`, as it deploys: the
+    one function that draws one, MC-averaged or deterministic.
 
     A dropout model with passes > 1 gets `passes` MC-dropout passes
-    seeded by `seed`, and the trace is None. Otherwise one eval-mode
-    pass gives a T=1 stack, returned with that pass's trace. Runs under
-    one_blas_thread().
+    seeded by `seed`. Otherwise predict_probs' one eval-mode pass gives a
+    T=1 stack, and the seed is ignored. Runs under one_blas_thread().
     """
     if uses_mc(model, passes):
-        return mc_dropout_predict(model, inputs, passes, seed), None
-    logits, trace = forward(model, inputs, mode="eval")
-    return PredictiveSamples(softmax(logits)[None, :, :]), trace
+        return mc_dropout_predict(model, inputs, passes, seed)
+    return PredictiveSamples(predict_probs(model, inputs)[None])
 
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from .nn import (
     Gradients,
     MlpModel,
     backward_into,
-    forward,  # noqa: F401  (kept bound: tracing and tests patch trainer.forward)
+    forward,  # noqa: F401  (kept bound: bench/test_bench.py checks tracing wraps it)
     forward_into,
     init_mlp,
     one_blas_thread,
@@ -260,27 +260,30 @@ VAL_MC_PASSES = 30
 
 
 def _predictive(
-    model: MlpModel, split: DatasetSplit, seed: int, trace: ForwardTrace | None
-) -> tuple[PredictiveSamples, ForwardTrace | None]:
+    model: MlpModel, split: DatasetSplit, seed: int, traces: list[ForwardTrace]
+) -> PredictiveSamples:
     """predictive_samples over VAL_MC_PASSES on split, except that an eval
-    pass reruns in the buffers of `trace`, the one an earlier call on the
-    same split returned. Allocated anew, the outlier split's 0.5 MB arrays
+    pass runs in buffers kept for the split: traces is the caller's list
+    for split, empty until the first eval pass appends its trace, which
+    later ones rerun in. Allocated anew, the outlier split's 0.5 MB arrays
     made the allocator return and refault about 2 MB per epoch in some
     processes."""
-    if trace is None or uses_mc(model, VAL_MC_PASSES):
+    if uses_mc(model, VAL_MC_PASSES):
         return predictive_samples(model, split.features, VAL_MC_PASSES, seed)
-    return PredictiveSamples(softmax(forward_into(model, trace, None))[None]), trace
+    if not traces:
+        traces.append(ForwardTrace.allocate(model, split.features, False))
+    return PredictiveSamples(softmax(forward_into(model, traces[0], None))[None])
 
 
 def _validation_metrics(
-    model: MlpModel, val: DatasetSplit, mc_seed: int, trace: ForwardTrace | None = None
-) -> tuple[float, np.ndarray, ForwardTrace | None]:
+    model: MlpModel, val: DatasetSplit, mc_seed: int, traces: list[ForwardTrace]
+) -> tuple[float, np.ndarray]:
     """Validation accuracy and the val split's entropy scores under
     deployment semantics: MC-averaged predictions for a dropout model,
-    one eval pass otherwise; and the trace to pass back next epoch."""
-    samples, trace = _predictive(model, val, mc_seed, trace)
+    one eval pass otherwise. traces is _predictive's, for val."""
+    samples = _predictive(model, val, mc_seed, traces)
     val_acc = accuracy(samples.mean_probs().argmax(axis=1), val.labels)
-    return val_acc, entropy_score(samples), trace
+    return val_acc, entropy_score(samples)
 
 
 def _ood_seed(model: MlpModel, passes: int, mc_seed: int) -> int:
@@ -290,14 +293,12 @@ def _ood_seed(model: MlpModel, passes: int, mc_seed: int) -> int:
 
 
 def _ood_entropy(
-    model: MlpModel, ood: DatasetSplit, mc_seed: int, trace: ForwardTrace | None = None
-) -> tuple[np.ndarray, ForwardTrace | None]:
+    model: MlpModel, ood: DatasetSplit, mc_seed: int, traces: list[ForwardTrace]
+) -> np.ndarray:
     """The validation outlier split's entropy scores, for the epoch whose
-    val split is scored with mc_seed; and the trace to pass back next
-    epoch."""
-    samples, trace = _predictive(model, ood, _ood_seed(model, VAL_MC_PASSES, mc_seed),
-                                 trace)
-    return entropy_score(samples), trace
+    val split is scored with mc_seed. traces is _predictive's, for ood."""
+    seed = _ood_seed(model, VAL_MC_PASSES, mc_seed)
+    return entropy_score(_predictive(model, ood, seed, traces))
 
 
 def _epoch_criterion(config: TrainConfig, record: EpochRecord) -> tuple:
@@ -335,7 +336,7 @@ def _ood_entropy_task(snapshot: np.ndarray, layer_dims: list[int], dropout_rate:
     read; and _ood_entropy is looked up as the task runs, so a wrapper
     installed before the fork runs in the worker."""
     model = MlpModel(layer_dims, *_layer_views(snapshot, layer_dims), dropout_rate)
-    return _ood_entropy(model, ood_split, mc_seed)[0]
+    return _ood_entropy(model, ood_split, mc_seed, [])
 
 
 def _from_worker(call: Callable, *args):
@@ -368,7 +369,7 @@ class _Validation:
         self.config, self.model, self.flat, self.history = config, model, flat, history
         self.val, self.ood_split = val, ood_split
         self.pending: tuple | None = None
-        self.val_trace = self.ood_trace = None
+        self.val_traces, self.ood_traces = [], []
         self.best_criterion = None
         self.best_params: np.ndarray | None = None
         self.pool = None
@@ -389,8 +390,8 @@ class _Validation:
                                   self.model.layer_dims, self.model.dropout_rate,
                                   self.ood_split, mc_seed)
         try:
-            val_acc, val_entropy, self.val_trace = _validation_metrics(
-                self.model, self.val, mc_seed, self.val_trace)
+            val_acc, val_entropy = _validation_metrics(self.model, self.val, mc_seed,
+                                                       self.val_traces)
         except ValueError as exc:
             # an earlier epoch's failure, still in flight, came first
             self.resolve_pending()
@@ -413,8 +414,8 @@ class _Validation:
             if future is not None:
                 ood_entropy = _from_worker(future.result)
             else:
-                ood_entropy, self.ood_trace = _ood_entropy(
-                    self.model, self.ood_split, mc_seed, self.ood_trace)
+                ood_entropy = _ood_entropy(self.model, self.ood_split, mc_seed,
+                                           self.ood_traces)
             ent_auc = 100.0 * auc_roc(val_entropy, ood_entropy,
                                       SCORE_ORIENTATION["entropy"])
         except ValueError as exc:
@@ -527,11 +528,14 @@ def train(
     worker dies, the call raises RuntimeError.
     """
     _require_splits(benchmark, *TRAIN_SPLITS)
+    for role in TRAIN_SPLITS:
+        columns = benchmark[role].features.shape[1]
+        if columns != model.input_dim:
+            raise ValueError(f"model expects {model.input_dim}-D inputs but the {role} "
+                             f"split has {columns} columns")
     train_split, val_split, ood_split = (benchmark[role] for role in TRAIN_SPLITS)
     # a DatasetSplit's features are finite float64 from construction on
     features, labels = train_split.features, train_split.labels
-    if model.input_dim != features.shape[1]:
-        raise ValueError("model input dim does not match training features")
     k = model.num_classes
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"training labels must lie in [0, {k}), got range "
@@ -787,29 +791,6 @@ def corruption_error_table(
     return table
 
 
-def predictive_samples_pair(
-    model: MlpModel,
-    split_id: DatasetSplit,
-    split_ood: DatasetSplit,
-    passes: int,
-    mc_seed: int,
-) -> tuple[tuple[PredictiveSamples, np.ndarray | None], ...]:
-    """predictive_samples on a pair of splits. Per split it returns the
-    samples and, for an eval pass, that pass's penultimate features (None
-    for MC passes).
-
-    MC passes on split_id are seeded by mc_seed, on split_ood by
-    derive_seed(mc_seed, 1).
-    """
-    def draw(split: DatasetSplit, seed: int):
-        # the trace is dropped here, so only its features stay in memory
-        samples, trace = predictive_samples(model, split.features, passes, seed)
-        return samples, None if trace is None else trace.penultimate_features
-
-    s_id, features_id = draw(split_id, mc_seed)
-    return (s_id, features_id), draw(split_ood, _ood_seed(model, passes, mc_seed))
-
-
 @one_blas_thread()
 def score_populations(
     model: MlpModel,
@@ -821,23 +802,25 @@ def score_populations(
 ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], PredictiveSamples]:
     """Raw (id, ood) score pairs per kind, and the ID predictive samples.
 
-    The softmax kinds come from one draw of predictive samples. Given
-    train_split, Mahalanobis scores over penultimate features, fit on
-    that split, are added; a test split scored by one eval pass reuses
-    that pass's features. Runs under one_blas_thread().
+    The softmax kinds come from one draw of predictive samples per split:
+    MC passes on test_id are seeded by mc_seed = derive_seed(seed,
+    STREAM_MC), on test_ood by derive_seed(mc_seed, 1). Given train_split,
+    Mahalanobis scores over penultimate features, fit on that split, are
+    added; each split's features come from its own eval pass. Runs under
+    one_blas_thread().
     """
-    (s_id, features_id), (s_ood, features_ood) = predictive_samples_pair(
-        model, test_id, test_ood, mc_passes, derive_seed(seed, STREAM_MC)
-    )
+    mc_seed = derive_seed(seed, STREAM_MC)
+    s_id = predictive_samples(model, test_id.features, mc_passes, mc_seed)
+    s_ood = predictive_samples(model, test_ood.features, mc_passes,
+                               _ood_seed(model, mc_passes, mc_seed))
     pops = {kind: (score(s_id), score(s_ood)) for kind, score in SOFTMAX_SCORES.items()}
     if train_split is not None:
         detector = fit_mahalanobis(
             penultimate_features(model, train_split.features), train_split.labels
         )
         pops["mahalanobis"] = tuple(
-            mahalanobis_score(detector, penultimate_features(model, split.features)
-                              if features is None else features)
-            for split, features in ((test_id, features_id), (test_ood, features_ood))
+            mahalanobis_score(detector, penultimate_features(model, split.features))
+            for split in (test_id, test_ood)
         )
     return pops, s_id
 

@@ -231,8 +231,8 @@ def test_eval_does_each_piece_of_work_once(pipeline, tmp_path, monkeypatch):
 
 def test_dropout_free_eval_forwards_each_split_once(pipeline, tmp_path, monkeypatch):
     rows = []
-    for module, name in ((oodkit.scores, "forward"), (oodkit.trainer, "forward"),
-                         (oodkit.metrics, "forward"), (oodkit.metrics, "eval_logits")):
+    for module, name in ((oodkit.scores, "forward"), (oodkit.metrics, "forward"),
+                         (oodkit.metrics, "eval_logits")):
         original = getattr(module, name)
 
         def counting(model, inputs, *args, _original=original, **kwargs):
@@ -241,8 +241,10 @@ def test_dropout_free_eval_forwards_each_split_once(pipeline, tmp_path, monkeypa
 
         monkeypatch.setattr(module, name, counting)
     assert run_eval(pipeline, tmp_path / "eval", extra=["--mahalanobis"]) == 0
-    # test_id, test_ood, train (for the fit) and the 24 x 24 grid
-    assert sorted(rows) == sorted([18, 80, 84, 24 * 24])
+    # predictive_samples' eval pass on test_id and on test_ood; the
+    # Mahalanobis detector's own eval pass on train (for the fit), then on
+    # test_id and test_ood (for the scores); and the 24 x 24 grid
+    assert sorted(rows) == sorted([18, 80, 84, 18, 80, 24 * 24])
 
 
 def test_eval_draws_the_grid_when_every_point_shares_a_large_coordinate(
@@ -493,19 +495,27 @@ def test_divergence_prints_only_its_report(pipeline, tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-def test_overflowing_model_prints_only_its_error_line(pipeline, tmp_path):
-    # logits of about 1e310 overflow the matmul; numpy must not print a
+@pytest.mark.parametrize("command,scale_layers,extra", [
+    ("eval", 3, ["--grid-resolution", "24"]),
+    ("corrupt-eval", 3, []),
+    ("eval", 1, ["--grid-resolution", "24", "--mahalanobis"]),
+], ids=["eval", "corrupt-eval", "eval-mahalanobis"])
+def test_overflowing_model_prints_only_its_error_line(pipeline, tmp_path, command,
+                                                      scale_layers, extra):
+    # with every layer scaled, logits of about 1e310 overflow the matmul;
+    # with only the first, the softmax stays finite but the squared
+    # Mahalanobis distances overflow. numpy must not print a
     # RuntimeWarning before the error line
     model = init_mlp([2, 8, 3], seed=0)
-    for w in model.weights:
-        w *= 1e155
+    for w in model.weights[:scale_layers]:
+        w *= 1e155 if scale_layers > 1 else 1e160
     save_model(model, tmp_path / "big.json")
     out = tmp_path / "eval"
     src = os.path.dirname(os.path.dirname(oodkit.trainer.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "oodkit.cli", "eval", "--model",
+        [sys.executable, "-m", "oodkit.cli", command, "--model",
          str(tmp_path / "big.json"), "--data", str(pipeline["data"]),
-         "--out", str(out), "--grid-resolution", "24"],
+         "--out", str(out), *extra],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
     )
     assert proc.returncode == 3
@@ -635,23 +645,46 @@ def test_bad_grid_file(pipeline, tmp_path):
 
 
 def test_model_data_dimension_mismatch(pipeline, tmp_path, capsys):
-    data = tmp_path / "data3"
-    data.mkdir()
     def widen(line, filler):
         parts = line.split(",")
         return ",".join(parts[:-1] + [filler, parts[-1]])
 
-    for name in ("test_id.csv", "test_ood.csv"):
-        src = (pipeline["data"] / name).read_text().splitlines()
-        header = widen(src[0], "x2")
-        rows = [widen(line, "0.0") for line in src[1:]]
-        (data / name).write_text("\n".join([header, *rows]) + "\n")
+    def data_widening(*roles):
+        data = tmp_path / "-".join(roles)
+        data.mkdir()
+        for src in pipeline["data"].glob("*.csv"):
+            lines = src.read_text().splitlines()
+            if src.stem in roles:
+                lines = [widen(lines[0], "x2"), *(widen(line, "0.0") for line in lines[1:])]
+            (data / src.name).write_text("\n".join(lines) + "\n")
+        return data
+
     code = main([
-        "eval", "--model", str(pipeline["model"]), "--data", str(data),
-        "--out", str(tmp_path / "eval"),
+        "eval", "--model", str(pipeline["model"]), "--data",
+        str(data_widening("test_id", "test_ood")), "--out", str(tmp_path / "eval"),
     ])
     assert code == 3
     assert "columns" in capsys.readouterr().err
+    # train and sweep check every split they read before training starts;
+    # a wide val or train_ood split used to end as a divergence (exit 4)
+    # or as numpy's own message
+    grid = tmp_path / "grid.json"
+    write_json(grid, {"grid_version": 1, "grid": [{"lam": 0.5}, {"lam": 1.0}]})
+    for role in ("val", "train_ood"):
+        data = data_widening(role)
+        for objective in ("ce", "ce_cosine"):
+            cfg = tmp_path / f"{objective}.json"
+            write_json(cfg, {"config_version": 1,
+                             "train": {"objective": objective, "epochs": 1}})
+            for command, extra in (("train", []), ("sweep", ["--grid", str(grid)])):
+                out = tmp_path / f"{command}-{role}-{objective}"
+                code = main([command, "--config", str(cfg), *extra,
+                             "--data", str(data), "--out", str(out)])
+                assert code == 3
+                assert capsys.readouterr().err == (
+                    f"data error: model expects 2-D inputs but the {role} split has "
+                    "3 columns\n")
+                assert not out.exists()
 
 
 @pytest.mark.parametrize("command,where,text,reason", [

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from oodkit.datasynth import (
     CORRUPTION_KINDS,
-    SEVERITIES,
     CorruptionSpec,
     DatasetSplit,
     GaussianSpec,

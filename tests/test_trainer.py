@@ -17,13 +17,16 @@ from oodkit.metrics import accuracy, classify
 from oodkit.datasynth import DatasetSplit
 from oodkit.nn import OptimizerState, backward, forward, init_mlp, sgd_step, softmax
 from oodkit.scores import (
+    entropy_score,
+    fit_mahalanobis,
+    mahalanobis_score,
     mutual_information_score,
     penultimate_features,
     predictive_samples,
 )
 from oodkit.seeding import (
-    STREAM_DROPOUT, STREAM_OOD_SHUFFLE, STREAM_SHUFFLE, STREAM_VAL_MC, derive_rng,
-    derive_seed,
+    STREAM_DROPOUT, STREAM_MC, STREAM_OOD_SHUFFLE, STREAM_SHUFFLE, STREAM_VAL_MC,
+    derive_rng, derive_seed,
 )
 from oodkit.trainer import (
     TrainConfig,
@@ -32,8 +35,8 @@ from oodkit.trainer import (
     default_config,
     evaluate_model,
     init_model,
-    predictive_samples_pair,
     run_experiment,
+    score_populations,
     sweep,
     train,
 )
@@ -599,36 +602,43 @@ def test_train_and_evaluate_run_blas_on_one_thread(tiny_benchmark, monkeypatch):
 
 
 def test_eval_pass_validation_allocates_its_buffers_once(tiny_benchmark, monkeypatch):
-    import oodkit.scores as scores_mod
+    # the traces allocated on a validation split's own rows: the batch
+    # steps' traces hold copies of the batches
+    roles = {id(tiny_benchmark[r].features): r for r in ("val", "train_ood")}
+    allocated = []
 
-    calls = []
-    real = scores_mod.forward
+    class Counting(trainer_mod.ForwardTrace):
+        @classmethod
+        def allocate(cls, model, inputs, dropout):
+            if id(inputs) in roles:
+                allocated.append(roles[id(inputs)])
+            return super().allocate(model, inputs, dropout)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scores_mod, "forward", counting)
+    monkeypatch.setattr(trainer_mod, "ForwardTrace", Counting)
     cfg = TrainConfig(objective="ce", epochs=3)
-    train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
-    # val and the outlier split, in epoch 1; later epochs reuse the traces
-    assert len(calls) == 2
+    for _ in range(2):
+        train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
+    # val and the outlier split, in epoch 1 of each call; later epochs
+    # rerun in those buffers
+    assert allocated == ["val", "train_ood"] * 2
 
 
 def test_an_eval_pass_validation_reruns_in_the_trace_it_returned(tiny_benchmark):
     model = init_mlp([2, 8, 3], seed=0)
     split = tiny_benchmark["val"]
-    _, trace = trainer_mod._predictive(model, split, 0, None)
+    traces = []
+    trainer_mod._predictive(model, split, 0, traces)
+    trace = traces[0]
     model.weights[0] *= 2.0
-    expected, _ = predictive_samples(model, split.features, 1, seed=0)
-    again, same = trainer_mod._predictive(model, split, 0, trace)
-    assert same is trace
+    expected = predictive_samples(model, split.features, 1, seed=0)
+    again = trainer_mod._predictive(model, split, 0, traces)
+    assert len(traces) == 1 and traces[0] is trace
     assert again.probs.tobytes() == expected.probs.tobytes()
     # MC passes draw their own buffers
     mc = init_mlp([2, 8, 3], dropout_rate=0.2, seed=0)
-    samples, none = trainer_mod._predictive(mc, split, 5, trace)
-    assert none is None
-    expected, _ = predictive_samples(mc, split.features, trainer_mod.VAL_MC_PASSES, 5)
+    samples = trainer_mod._predictive(mc, split, 5, traces)
+    assert traces == [trace]
+    expected = predictive_samples(mc, split.features, trainer_mod.VAL_MC_PASSES, 5)
     assert samples.probs.tobytes() == expected.probs.tobytes()
 
 
@@ -854,7 +864,7 @@ def test_the_worker_task_scores_as_ood_entropy(tiny_benchmark):
         mc_seed = derive_seed(7, STREAM_VAL_MC, epoch)
         scores = trainer_mod._ood_entropy_task(snapshot, model.layer_dims,
                                                model.dropout_rate, split, mc_seed)
-        expected, _ = trainer_mod._ood_entropy(model, split, mc_seed)
+        expected = trainer_mod._ood_entropy(model, split, mc_seed, [])
         assert scores.tobytes() == expected.tobytes()
 
 
@@ -959,26 +969,20 @@ def test_corruption_table_shape_and_determinism(tiny_benchmark):
             assert t1[kind][sev] == t2[kind][sev]
 
 
-def test_predictive_samples_pair_modes(tiny_benchmark):
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.3])
+def test_mahalanobis_pair_scores_each_splits_eval_pass_features(
+    tiny_benchmark, dropout_rate
+):
+    train_split = tiny_benchmark["train"]
     test_id, test_ood = tiny_benchmark["test_id"], tiny_benchmark["test_ood"]
-    det = init_mlp([2, 8, 3], seed=1)
-    pair = predictive_samples_pair(det, test_id, test_ood, 5, 3)
-    for (samples, features), split in zip(pair, (test_id, test_ood)):
-        assert samples.num_passes == 1
-        np.testing.assert_array_equal(
-            features, penultimate_features(det, split.features)
-        )
-
-    mc = init_mlp([2, 8, 3], dropout_rate=0.3, seed=1)
-    (a_id, f_id), (a_ood, f_ood) = predictive_samples_pair(mc, test_id, test_ood, 5, 3)
-    assert a_id.num_passes == 5 and a_ood.num_passes == 5
-    assert f_id is None and f_ood is None
-    (b_id, _), (b_ood, _) = predictive_samples_pair(mc, test_id, test_ood, 5, 3)
-    np.testing.assert_array_equal(a_id.probs, b_id.probs)
-    np.testing.assert_array_equal(a_ood.probs, b_ood.probs)
-    # a dropout model with a single pass stays deterministic
-    (one_id, features), _ = predictive_samples_pair(mc, test_id, test_ood, 1, 3)
-    assert one_id.num_passes == 1 and features is not None
+    model = init_mlp([2, 8, 3], dropout_rate, seed=1)
+    pops, samples = score_populations(model, test_id, test_ood, 5, 3, train_split)
+    assert samples.num_passes == (5 if dropout_rate else 1)
+    detector = fit_mahalanobis(penultimate_features(model, train_split.features),
+                               train_split.labels)
+    for scores, split in zip(pops["mahalanobis"], (test_id, test_ood)):
+        expected = mahalanobis_score(detector, penultimate_features(model, split.features))
+        assert scores.tobytes() == expected.tobytes()
 
 
 _seeds = st.integers(0, 2**63 - 1)
@@ -993,36 +997,33 @@ def test_predictive_path_without_mc_is_one_eval_pass(
     assume(dropout_rate == 0.0 or passes == 1)
     model = init_mlp([2, width, 3], dropout_rate, seed=seed)
     for split in (tiny_benchmark["test_id"], tiny_benchmark["test_ood"]):
-        samples, trace = predictive_samples(model, split.features, passes, mc_seed)
+        samples = predictive_samples(model, split.features, passes, mc_seed)
         assert samples.num_passes == 1
-        logits, expected = forward(model, split.features, mode="eval")
-        np.testing.assert_array_equal(samples.probs[0], softmax(logits))
-        np.testing.assert_array_equal(
-            trace.penultimate_features, expected.penultimate_features
-        )
+        logits, _ = forward(model, split.features, mode="eval")
+        assert samples.probs[0].tobytes() == softmax(logits).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=_seeds, mc_seed=_seeds, width=st.integers(1, 8),
+@given(seed=_seeds, eval_seed=_seeds, width=st.integers(1, 8),
        dropout_rate=st.floats(0.05, 0.9), passes=st.integers(2, 6))
 def test_predictive_path_with_mc_repeats_for_a_seed(
-    tiny_benchmark, seed, mc_seed, width, dropout_rate, passes
+    tiny_benchmark, seed, eval_seed, width, dropout_rate, passes
 ):
     model = init_mlp([2, width, 3], dropout_rate, seed=seed)
     splits = (tiny_benchmark["test_id"], tiny_benchmark["test_ood"])
-    first = predictive_samples_pair(model, *splits, passes, mc_seed)
-    again = predictive_samples_pair(model, *splits, passes, mc_seed)
-    for (a, features), (b, _) in zip(first, again):
-        assert a.num_passes == passes and features is None
-        np.testing.assert_array_equal(a.probs, b.probs)
+    first, samples = score_populations(model, *splits, passes, eval_seed)
+    again, _ = score_populations(model, *splits, passes, eval_seed)
+    assert samples.num_passes == passes
+    for a, b in zip(first["entropy"], again["entropy"]):
+        assert a.tobytes() == b.tobytes()
     # the ID split draws from mc_seed, the OOD split from its own stream
-    for (samples, _), split, split_seed in zip(
-        first, splits, (mc_seed, derive_seed(mc_seed, 1))
+    mc_seed = derive_seed(eval_seed, STREAM_MC)
+    for scores, split, split_seed in zip(
+        first["entropy"], splits, (mc_seed, derive_seed(mc_seed, 1))
     ):
-        np.testing.assert_array_equal(
-            samples.probs,
-            predictive_samples(model, split.features, passes, split_seed)[0].probs,
-        )
+        expected = entropy_score(predictive_samples(model, split.features, passes,
+                                                    split_seed))
+        assert scores.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -1033,7 +1034,7 @@ def test_predictive_path_mutual_information_is_nonnegative(
 ):
     model = init_mlp([2, width, 3], dropout_rate, seed=seed)
     for split in (tiny_benchmark["test_id"], tiny_benchmark["test_ood"]):
-        samples, _ = predictive_samples(model, split.features, passes, mc_seed)
+        samples = predictive_samples(model, split.features, passes, mc_seed)
         assert mutual_information_score(samples).min() >= -1e-12
 
 
