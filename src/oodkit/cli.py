@@ -323,10 +323,6 @@ def cmd_eval(args, out_dir: Path) -> int:
     except ValueError as exc:
         # a train split the Mahalanobis fit cannot use, or overflowing scores
         raise DataError(f"cannot evaluate {args.model} on {data_dir}: {exc}") from exc
-    # the MC draws would otherwise stay alive through the decision grids,
-    # whose two layer buffers of resolution**2 rows are the largest arrays
-    # the command holds after scoring
-    del id_samples
 
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []

@@ -376,33 +376,57 @@ def mc_dropout_probs(model: MlpModel, inputs, seeds) -> np.ndarray:
     bit for bit: it draws the same masks in the same order and does the
     same float operations, only into buffers allocated once per call.
     Layer 0's pre-activation and ReLU precede every mask, so they are
-    computed once.
+    computed once. This is mc_dropout_blocks in one block of every pass.
+    """
+    (probs,) = mc_dropout_blocks(model, inputs, seeds, len(seeds))
+    return probs
+
+
+def mc_dropout_blocks(model: MlpModel, inputs, seeds, block_passes: int):
+    """mc_dropout_probs(model, inputs, seeds) in pass order, as blocks of
+    block_passes passes each (the last may hold fewer), shape (T_b, N, k).
+
+    Every block is a view of one buffer that the next block overwrites,
+    so a caller reads a block before asking for the next. Layer 0's
+    output, the pass buffers and the pass threads are kept across the
+    blocks. Close a generator left unfinished (contextlib.closing) to
+    join its threads.
 
     The passes run on up to pass_threads(...) threads, the calling thread
-    among them, and every other thread is joined before the call returns.
-    More than one runs only under one_blas_thread() in a process that
-    multiprocessing did not start. Each pass owns its generator and its
-    logits[t], so the result does not depend on the thread count or on
-    which thread ran which pass.
+    among them, and every other thread is joined before the generator
+    finishes. More than one runs only under one_blas_thread() in a
+    process that multiprocessing did not start. Each pass owns its
+    generator and its row of the block, so the result does not depend on
+    the thread count or on which thread ran which pass.
     """
+    if not seeds or block_passes < 1:
+        raise ValueError(f"need at least one seed and block_passes >= 1, got "
+                         f"{len(seeds)} seeds and block_passes {block_passes}")
     x = _as_batch(inputs, model.input_dim)
     weights, biases = model.weights, model.biases
     last = len(weights) - 1
     h0 = x @ weights[0].T + biases[0]
     if last > 0:
         np.maximum(h0, 0.0, out=h0)
-    logits = np.empty((len(seeds), len(x), model.num_classes))
-    if last == 0:
-        logits[:] = h0
-    else:
-        _run_passes(h0, weights, biases, model.dropout_rate, seeds, logits)
-    softmax_in_place(_as_batch(logits.reshape(-1, model.num_classes)))
-    return logits
+    k = model.num_classes
+    logits = np.empty((min(block_passes, len(seeds)), len(x), k))
+    blocks = (
+        (logits[: min(len(logits), len(seeds) - start)], start)
+        for start in range(0, len(seeds), len(logits))
+    )
+    if last > 0:
+        blocks = _run_passes(h0, weights, biases, model.dropout_rate, seeds, blocks)
+    for block, _ in blocks:
+        if last == 0:
+            block[:] = h0
+        softmax_in_place(_as_batch(block.reshape(-1, k)))
+        yield block
 
 
-def _run_passes(h0, weights, biases, dropout_rate, seeds, logits) -> None:
-    """Fill logits[t] with pass t's logits from layer 1 on, given layer 0's
-    post-ReLU output h0, on up to pass_threads(...) threads."""
+def _run_passes(h0, weights, biases, dropout_rate, seeds, blocks):
+    """For each (block, start) of blocks, fill block[i] with the logits of
+    pass start + i from layer 1 on, given layer 0's post-ReLU output h0,
+    on up to pass_threads(...) threads, and yield the pair."""
     last = len(weights) - 1
     dropout_active = dropout_rate > 0.0
     keep = 1.0 - dropout_rate
@@ -412,8 +436,8 @@ def _run_passes(h0, weights, biases, dropout_rate, seeds, logits) -> None:
     threads = max(1, min(pass_threads(pass_size), len(seeds)))
     # Every thread gets, for layers 1..last, a buffer for the masked input
     # and, below the last layer, one for the pre-activation; the last
-    # layer writes into logits[t]. All are allocated on this thread
-    # (per-thread malloc arenas would raise peak memory).
+    # layer writes into its row of the block. All are allocated on this
+    # thread (per-thread malloc arenas would raise peak memory).
     buffers = [
         [
             (w, b, np.empty((rows, w.shape[1])),
@@ -422,20 +446,20 @@ def _run_passes(h0, weights, biases, dropout_rate, seeds, logits) -> None:
         ]
         for _ in range(threads)
     ]
-    # Threads take passes one at a time, so one thread the OS holds back
-    # delays the call by one pass, not by a fixed share of them. A deque's
-    # popleft is atomic.
-    todo = collections.deque(range(len(seeds)))
+    # Threads take passes one at a time, as (row, pass) pairs, so one
+    # thread the OS holds back delays a block by one pass, not by a fixed
+    # share of them. A deque's popleft is atomic.
+    todo = collections.deque()
     # numpy's floating-point error state is per thread
     errstate = np.geterr()
 
-    def run(layers):
+    def run(layers, block):
         # numpy calls only: bench/spans.py times nn.softmax and derive_seed
         # on one open-span stack, which no other thread may touch
         with np.errstate(**errstate):
             while True:
                 try:
-                    t = todo.popleft()
+                    i, t = todo.popleft()
                 except IndexError:
                     return
                 rng = np.random.default_rng(seeds[t]) if dropout_active else None
@@ -449,21 +473,22 @@ def _run_passes(h0, weights, biases, dropout_rate, seeds, logits) -> None:
                         np.less(masked, keep, out=masked)
                         a = np.multiply(a, masked, out=masked)
                         a *= scale
-                    out = logits[t] if z is None else z
+                    out = block[i] if z is None else z
                     np.matmul(a, w.T, out=out)
                     out += b
                     if z is not None:
                         np.maximum(out, 0.0, out=out)
                     a = out
 
-    if threads == 1:
-        run(buffers[0])
-        return
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        futures = [pool.submit(run, layers) for layers in buffers[1:]]
-        run(buffers[0])
-        for future in futures:
-            future.result()
+    with (ThreadPoolExecutor(max_workers=threads - 1) if threads > 1
+          else contextlib.nullcontext()) as pool:
+        for block, start in blocks:
+            todo.extend(enumerate(range(start, start + len(block))))
+            futures = [pool.submit(run, layers, block) for layers in buffers[1:]]
+            run(buffers[0], block)
+            for future in futures:
+                future.result()
+            yield block, start
 
 
 def softmax(logits) -> np.ndarray:

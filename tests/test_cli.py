@@ -495,17 +495,18 @@ def test_divergence_prints_only_its_report(pipeline, tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("command,scale_layers,extra", [
-    ("eval", 3, ["--grid-resolution", "24"]),
-    ("corrupt-eval", 3, []),
-    ("eval", 1, ["--grid-resolution", "24", "--mahalanobis"]),
+@pytest.mark.parametrize("command,scale_layers,extra,reason", [
+    ("eval", 3, ["--grid-resolution", "24"], "non-finite"),
+    ("corrupt-eval", 3, [], "non-finite"),
+    ("eval", 1, ["--grid-resolution", "24", "--mahalanobis"],
+     "Mahalanobis fit needs a finite tied covariance"),
 ], ids=["eval", "corrupt-eval", "eval-mahalanobis"])
 def test_overflowing_model_prints_only_its_error_line(pipeline, tmp_path, command,
-                                                      scale_layers, extra):
+                                                      scale_layers, extra, reason):
     # with every layer scaled, logits of about 1e310 overflow the matmul;
-    # with only the first, the softmax stays finite but the squared
-    # Mahalanobis distances overflow. numpy must not print a
-    # RuntimeWarning before the error line
+    # with only the first, the softmax stays finite but the features'
+    # covariance overflows, so the Mahalanobis fit fails. numpy must not
+    # print a RuntimeWarning before the error line
     model = init_mlp([2, 8, 3], seed=0)
     for w in model.weights[:scale_layers]:
         w *= 1e155 if scale_layers > 1 else 1e160
@@ -521,6 +522,7 @@ def test_overflowing_model_prints_only_its_error_line(pipeline, tmp_path, comman
     assert proc.returncode == 3
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("data error:")
+    assert reason in lines[0]
     assert not out.exists()
 
 

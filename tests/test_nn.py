@@ -29,6 +29,7 @@ from oodkit.nn import (
     forward,
     init_mlp,
     load_model,
+    mc_dropout_blocks,
     mc_dropout_probs,
     one_blas_thread,
     pass_threads,
@@ -729,6 +730,47 @@ def test_mc_passes_do_not_depend_on_the_thread_count(name, monkeypatch):
                 assert probs.tobytes() == expected.tobytes(), (passes, threads)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("name", PASS_MODELS)
+def test_mc_blocks_are_the_stack_in_pass_order(name, monkeypatch):
+    model = PASS_MODELS[name]
+    x = np.random.default_rng(6).normal(scale=3.0, size=(23, 2))
+    seeds = [500 + t for t in range(31)]
+    expected = mc_dropout_probs(model, x, seeds)
+    for threads in (1, 2):
+        monkeypatch.setattr(nn_mod, "pass_threads", lambda size: threads)
+        for block_passes in (1, 4, 16, 31, 40):
+            blocks = [block.copy() for block in
+                      mc_dropout_blocks(model, x, seeds, block_passes)]
+            assert [len(b) for b in blocks[:-1]] == [block_passes] * (len(blocks) - 1)
+            stack = np.concatenate(blocks)
+            assert stack.tobytes() == expected.tobytes(), (threads, block_passes)
+
+
+def test_mc_blocks_keep_one_pool_and_join_it_when_closed(monkeypatch):
+    made = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(nn_mod, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(nn_mod, "pass_threads", lambda size: 2)
+    model = init_mlp([2, 8, 8, 3], dropout_rate=0.2, seed=0)
+    x = np.random.default_rng(0).normal(size=(20, 2))
+    before = threading.active_count()
+    assert len(list(mc_dropout_blocks(model, x, list(range(9)), 2))) == 5
+    assert made == [{"max_workers": 1}]
+    assert threading.active_count() == before
+    blocks = mc_dropout_blocks(model, x, list(range(9)), 2)
+    next(blocks)
+    blocks.close()
+    assert threading.active_count() == before
+    for seeds, block_passes in (([], 4), ([1, 2], 0)):
+        with pytest.raises(ValueError, match="at least one seed"):
+            next(mc_dropout_blocks(model, x, seeds, block_passes))
 
 
 def test_mc_passes_leave_no_thread_behind(monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oodkit.datasynth import DatasetSplit, make_default_benchmark
-from oodkit.nn import forward, init_mlp, softmax
+from oodkit.nn import forward, init_mlp, mc_dropout_probs, softmax
 from oodkit.scores import (
+    MC_BLOCK_PASSES,
+    MahalanobisDetector,
+    SOFTMAX_SCORES,
     PredictiveSamples,
     _entropy_rows,
     confidence_score,
@@ -31,6 +35,17 @@ LN3 = float(np.log(3.0))
 
 def samples_from(rows) -> PredictiveSamples:
     return PredictiveSamples(np.asarray(rows, dtype=np.float64))
+
+
+def statistics(samples: PredictiveSamples) -> tuple:
+    """What a PredictiveSamples holds, as bytes."""
+    return (samples.num_passes, samples.mean_probs().tobytes(),
+            samples.mean_pass_entropy.tobytes())
+
+
+def mc_seeds(seed: int, passes: int) -> list[int]:
+    """mc_dropout_predict's pass seeds."""
+    return [derive_seed(seed, STREAM_MC, t) for t in range(passes)]
 
 
 def random_samples(seed: int, t: int = 6, n: int = 10, k: int = 4) -> PredictiveSamples:
@@ -68,20 +83,18 @@ def test_deterministic_samples_match_predict_probs():
     x = np.random.default_rng(1).normal(size=(7, 2))
     for passes in (1, 5):
         s = predictive_samples(model, x, passes, seed=3)
-        assert s.num_passes == 1
-        np.testing.assert_array_equal(s.probs[0], predict_probs(model, x))
+        assert statistics(s) == statistics(PredictiveSamples(predict_probs(model, x)[None]))
+        assert s.mean_probs().tobytes() == predict_probs(model, x).tobytes()
 
 
 def test_predictive_samples_mc_only_for_dropout_with_several_passes():
     model = init_mlp([2, 8, 3], dropout_rate=0.3, seed=0)
     x = np.random.default_rng(1).normal(size=(7, 2))
     s = predictive_samples(model, x, 4, seed=3)
-    np.testing.assert_array_equal(
-        s.probs, mc_dropout_predict(model, x, num_passes=4, seed=3).probs
-    )
+    assert statistics(s) == statistics(mc_dropout_predict(model, x, num_passes=4, seed=3))
     one = predictive_samples(model, x, 1, seed=3)
     assert one.num_passes == 1
-    np.testing.assert_array_equal(one.probs[0], predict_probs(model, x))
+    assert one.mean_probs().tobytes() == predict_probs(model, x).tobytes()
 
 
 def test_mc_dropout_deterministic_per_seed():
@@ -89,25 +102,27 @@ def test_mc_dropout_deterministic_per_seed():
     x = np.random.default_rng(3).normal(size=(9, 2))
     a = mc_dropout_predict(model, x, num_passes=8, seed=42)
     b = mc_dropout_predict(model, x, num_passes=8, seed=42)
-    np.testing.assert_array_equal(a.probs, b.probs)
+    assert statistics(a) == statistics(b)
 
 
 def test_mc_dropout_pass_streams_independent_of_total():
     # pass t depends only on (seed, t), never on the requested T
     model = init_mlp([2, 16, 3], dropout_rate=0.3, seed=2)
     x = np.random.default_rng(4).normal(size=(5, 2))
-    a = mc_dropout_predict(model, x, num_passes=3, seed=7)
-    b = mc_dropout_predict(model, x, num_passes=6, seed=7)
-    np.testing.assert_array_equal(a.probs, b.probs[:3])
+    total = 2 * MC_BLOCK_PASSES + 3
+    stack = mc_dropout_probs(model, x, mc_seeds(7, total))
+    assert mc_dropout_probs(model, x, mc_seeds(7, 3)).tobytes() == stack[:3].tobytes()
+    for passes in (3, MC_BLOCK_PASSES + 1, total):
+        s = mc_dropout_predict(model, x, num_passes=passes, seed=7)
+        assert statistics(s) == statistics(PredictiveSamples(stack[:passes]))
 
 
 def test_mc_dropout_without_dropout_is_eval():
     model = init_mlp([2, 8, 3], dropout_rate=0.0, seed=5)
     x = np.random.default_rng(6).normal(size=(6, 2))
-    s = mc_dropout_predict(model, x, num_passes=4, seed=0)
     ev = predict_probs(model, x)
-    for t in range(4):
-        np.testing.assert_array_equal(s.probs[t], ev)
+    for probs in mc_dropout_probs(model, x, mc_seeds(0, 4)):
+        assert probs.tobytes() == ev.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,12 +137,14 @@ def test_mc_dropout_equals_train_forward_per_pass(hidden, rate, rows, passes, se
     # the buffered pass loop must reproduce the traced forward bit for bit
     model = init_mlp([3, *hidden, 4], dropout_rate=rate, seed=seed % 1000)
     x = np.random.default_rng(seed).normal(scale=3.0, size=(rows, 3))
-    s = mc_dropout_predict(model, x, num_passes=passes, seed=seed)
-    assert s.probs.shape == (passes, rows, 4)
-    for t in range(passes):
-        pass_seed = derive_seed(seed, STREAM_MC, t)
+    seeds = mc_seeds(seed, passes)
+    stack = mc_dropout_probs(model, x, seeds)
+    assert stack.shape == (passes, rows, 4)
+    for t, pass_seed in enumerate(seeds):
         logits, _ = forward(model, x, mode="train", seed=pass_seed)
-        assert s.probs[t].tobytes() == softmax(logits).tobytes()
+        assert stack[t].tobytes() == softmax(logits).tobytes()
+    s = mc_dropout_predict(model, x, num_passes=passes, seed=seed)
+    assert statistics(s) == statistics(PredictiveSamples(stack))
 
 
 def test_mc_dropout_rejects_non_finite_logits():
@@ -153,7 +170,7 @@ def test_direct_scoring_calls_run_on_one_blas_thread(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(scores_mod, "mc_dropout_probs", spy(scores_mod.mc_dropout_probs))
+    monkeypatch.setattr(scores_mod, "mc_dropout_blocks", spy(scores_mod.mc_dropout_blocks))
     monkeypatch.setattr(scores_mod, "forward", spy(scores_mod.forward))
     for name in ("fit_mahalanobis", "penultimate_features", "mahalanobis_score"):
         monkeypatch.setattr(trainer_mod, name, spy(getattr(trainer_mod, name)))
@@ -176,8 +193,96 @@ def test_direct_scoring_calls_run_on_one_blas_thread(monkeypatch):
     features = [("penultimate_features", 1), ("forward", 1)]
     mahalanobis = features + [("fit_mahalanobis", 1)]
     mahalanobis += (features + [("mahalanobis_score", 1)]) * 2
-    assert seen == ([("mc_dropout_probs", 1)] * 2 + [("forward", 1), "score_populations"]
-                    + [("mc_dropout_probs", 1)] * 2 + mahalanobis)
+    assert seen == ([("mc_dropout_blocks", 1)] * 2 + [("forward", 1), "score_populations"]
+                    + [("mc_dropout_blocks", 1)] * 2 + mahalanobis)
+
+
+@st.composite
+def _pass_stacks(draw):
+    """(T, N, k) softmax-like stacks across block boundaries, with exact
+    zeros and one-hot rows."""
+    t = draw(st.integers(1, 3 * MC_BLOCK_PASSES + 1))
+    n = draw(st.sampled_from([1, 2, 7]))
+    k = draw(st.sampled_from([1, 2, 3, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.random((t, n, k))
+    raw[rng.random((t, n, k)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    one_hot = rng.random((t, n)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    raw[one_hot] = 0.0
+    raw[one_hot, rng.integers(0, k, size=int(one_hot.sum()))] = 1.0
+    raw[raw.sum(axis=2) == 0.0, 0] = 1.0
+    return raw / raw.sum(axis=2, keepdims=True)
+
+
+def blocks_of(stack: np.ndarray) -> list[np.ndarray]:
+    return [stack[i:i + MC_BLOCK_PASSES] for i in range(0, len(stack), MC_BLOCK_PASSES)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pass_stacks())
+def test_folded_blocks_score_as_the_stack(stack):
+    mean = stack.mean(axis=0)
+    expected = {
+        "confidence": mean.max(axis=1),
+        "entropy": _entropy_rows(mean),
+        "mutual_information": _entropy_rows(mean) - _entropy_rows(stack).mean(axis=0),
+    }
+    for s in (PredictiveSamples.fold(blocks_of(stack), len(stack)),
+              PredictiveSamples(stack)):
+        assert s.num_passes == len(stack)
+        assert s.mean_probs().tobytes() == mean.tobytes()
+        for kind, score in SOFTMAX_SCORES.items():
+            assert score(s).tobytes() == expected[kind].tobytes(), kind
+
+
+@pytest.mark.parametrize("value,message", [
+    (-0.25, "negative or NaN"),
+    (np.nan, "negative or NaN"),
+    (0.75, "sum to 1 within 1e-10"),
+])
+def test_a_bad_row_in_the_last_block_fails_the_fold(value, message):
+    stack = np.full((2 * MC_BLOCK_PASSES + 3, 4, 3), 1.0 / 3.0)
+    stack[-1, 2] = [value, 0.5, 0.5]
+    with pytest.raises(ValueError, match=message):
+        PredictiveSamples.fold(blocks_of(stack), len(stack))
+
+
+def test_fold_needs_as_many_passes_as_it_was_told():
+    stack = np.full((3, 2, 2), 0.5)
+    with pytest.raises(ValueError, match="3 passes, not 4"):
+        PredictiveSamples.fold(blocks_of(stack), 4)
+    with pytest.raises(ValueError, match="at least one pass"):
+        PredictiveSamples.fold([], 0)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_mc_dropout_predict_folds_the_stack_across_blocks(rows):
+    model = init_mlp([2, 12, 9], dropout_rate=0.5, seed=2)
+    x = np.random.default_rng(3).normal(size=(rows, 2))
+    for passes in (1, MC_BLOCK_PASSES, MC_BLOCK_PASSES + 1, 2 * MC_BLOCK_PASSES + 5):
+        stack = mc_dropout_probs(model, x, mc_seeds(11, passes))
+        s = mc_dropout_predict(model, x, num_passes=passes, seed=11)
+        assert statistics(s) == statistics(PredictiveSamples(stack))
+        assert s.mean_pass_entropy.tobytes() == _entropy_rows(stack).mean(axis=0).tobytes()
+
+
+def test_mc_dropout_memory_grows_only_by_the_entropy_array():
+    # the (T, N) per-pass entropies are all that grows with T; a (T, N, k)
+    # stack would add T * N * k * 8 bytes and its temporaries more
+    model = init_mlp([2, 16, 3], dropout_rate=0.2, seed=0)
+    x = np.random.default_rng(0).normal(size=(1000, 2))
+
+    def peak(passes: int) -> int:
+        tracemalloc.start()
+        try:
+            predictive_samples(model, x, passes, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(32)  # caches and lazy set-up
+    growth = peak(512) - peak(32)
+    assert growth <= (512 - 32) * len(x) * 8 + 256 * 1024, growth
 
 
 def test_mc_dropout_rejects_bad_pass_count():
@@ -191,12 +296,13 @@ def test_mc_dropout_converges_in_passes():
     bench = make_default_benchmark(seed=0, n_per_class=40, n_per_ood_component=40)
     model = init_mlp([2, 16, 3], dropout_rate=0.4, seed=8)
     x = bench["test_id"].features[:40]
-    a = mc_dropout_predict(model, x, num_passes=400, seed=1)
-    b = mc_dropout_predict(model, x, num_passes=4000, seed=2)
-    se = np.sqrt(
-        a.probs.var(axis=0) / a.num_passes + b.probs.var(axis=0) / b.num_passes
-    )
-    assert np.all(np.abs(a.mean_probs() - b.mean_probs()) <= 6.0 * se + 1e-6)
+    a = mc_dropout_probs(model, x, mc_seeds(1, 400))
+    b = mc_dropout_probs(model, x, mc_seeds(2, 4000))
+    se = np.sqrt(a.var(axis=0) / len(a) + b.var(axis=0) / len(b))
+    assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 6.0 * se + 1e-6)
+    # mc_dropout_predict averages those same passes
+    mean_b = mc_dropout_predict(model, x, num_passes=4000, seed=2).mean_probs()
+    assert mean_b.tobytes() == b.mean(axis=0).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +348,10 @@ def test_score_ordering_invariants():
         ent = entropy_score(s)
         assert np.all(mi >= -1e-12)
         assert np.all(mi <= ent + 1e-12)
-        assert np.all(ent <= np.log(s.probs.shape[2]) + 1e-12)
+        k = s.mean_probs().shape[1]
+        assert np.all(ent <= np.log(k) + 1e-12)
         conf = confidence_score(s)
-        assert np.all(conf >= 1.0 / s.probs.shape[2] - 1e-12)
+        assert np.all(conf >= 1.0 / k - 1e-12)
         assert np.all(conf <= 1.0 + 1e-15)
 
 
@@ -315,6 +422,26 @@ def test_fit_singular_requires_shrinkage():
     det = fit_mahalanobis(x, y, shrinkage=1e-3)
     assert np.all(np.isfinite(det.precision))
     np.testing.assert_allclose(det.precision, det.precision.T, atol=1e-12)
+
+
+def test_fit_rejects_a_covariance_or_precision_that_is_not_finite():
+    # every feature is finite, but the squares overflow the covariance,
+    # which np.linalg.cholesky accepts
+    model = init_mlp([2, 8, 3], seed=0)
+    model.weights[0] *= 1e160
+    x = np.random.default_rng(0).normal(size=(60, 2))
+    y = np.arange(60) % 3
+    features = penultimate_features(model, x)
+    assert np.all(np.isfinite(features))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite tied covariance"):
+            fit_mahalanobis(features, y)
+    # a finite covariance of about 1e-310 whose inverse overflows
+    with np.errstate(under="ignore"), pytest.raises(ValueError, match="finite precision"):
+        fit_mahalanobis(x * 1e-155, y)
+    nan = np.full((2, 2), np.nan)
+    with pytest.raises(ValueError, match="symmetric"):
+        MahalanobisDetector(np.zeros((1, 2)), nan)
 
 
 def test_fit_validation():

@@ -50,6 +50,12 @@ def fresh_model(config: TrainConfig, benchmark) -> "trainer_mod.MlpModel":
     return init_model(config, benchmark["train"].features.shape[1])
 
 
+def statistics(samples) -> tuple:
+    """What a PredictiveSamples holds, as bytes."""
+    return (samples.num_passes, samples.mean_probs().tobytes(),
+            samples.mean_pass_entropy.tobytes())
+
+
 # ---------------------------------------------------------------------------
 # config
 # ---------------------------------------------------------------------------
@@ -633,13 +639,13 @@ def test_an_eval_pass_validation_reruns_in_the_trace_it_returned(tiny_benchmark)
     expected = predictive_samples(model, split.features, 1, seed=0)
     again = trainer_mod._predictive(model, split, 0, traces)
     assert len(traces) == 1 and traces[0] is trace
-    assert again.probs.tobytes() == expected.probs.tobytes()
+    assert statistics(again) == statistics(expected)
     # MC passes draw their own buffers
     mc = init_mlp([2, 8, 3], dropout_rate=0.2, seed=0)
     samples = trainer_mod._predictive(mc, split, 5, traces)
     assert traces == [trace]
     expected = predictive_samples(mc, split.features, trainer_mod.VAL_MC_PASSES, 5)
-    assert samples.probs.tobytes() == expected.probs.tobytes()
+    assert statistics(samples) == statistics(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,7 +1006,7 @@ def test_predictive_path_without_mc_is_one_eval_pass(
         samples = predictive_samples(model, split.features, passes, mc_seed)
         assert samples.num_passes == 1
         logits, _ = forward(model, split.features, mode="eval")
-        assert samples.probs[0].tobytes() == softmax(logits).tobytes()
+        assert samples.mean_probs().tobytes() == softmax(logits).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
