@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import softmax_in_place
+from .nn import row_sums, softmax_in_place
 
 
 def require_finite(config) -> None:
@@ -98,8 +98,10 @@ def _check_batch(logits_in, labels, logits_out):
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
+    # the max stays numpy's: a column-wise one can break a tie of 0.0 and
+    # -0.0 the other way, and log-softmax keeps that zero's sign
     shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted - np.log(row_sums(np.exp(shifted))[:, None])
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

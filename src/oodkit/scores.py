@@ -12,7 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasynth import write_csv
-from .nn import MlpModel, forward, mc_dropout_blocks, one_blas_thread, softmax
+from .nn import (
+    MlpModel, forward, mc_dropout_blocks, one_blas_thread, row_sums, softmax,
+)
 from .seeding import STREAM_MC, derive_seed
 
 # kind -> the population it scores higher, in report order
@@ -34,48 +36,61 @@ MC_BLOCK_PASSES = 16
 class PredictiveSamples:
     """What the softmax scores read of T passes over N rows of k classes:
     mean_probs(), shape (N, k), each row's mean per-pass entropy
-    mean_pass_entropy, shape (N,), and num_passes.
+    mean_pass_entropy, shape (N,), and num_passes. Folded with
+    pass_entropy=False, the samples skip the per-pass entropies, and
+    reading mean_pass_entropy raises ValueError.
 
     Built from a (T, N, k) stack, or by fold() from its blocks in pass
     order, so that one block at a time need be alive. Every block must
     hold no negative or NaN probability, and rows that sum to 1 within
     1e-10. The statistics equal stack.mean(axis=0) and
-    _entropy_rows(stack).mean(axis=0) bit for bit: passes are summed in
-    pass order into zeros, as numpy reduces the pass axis when N * k >= 2,
-    and the (T, N) per-pass entropies are kept, since at N = 1 numpy sums
-    them pairwise.
+    _entropy_rows(stack).mean(axis=0) bit for bit: numpy reduces the pass
+    axis in pass order into +0.0 when there are at least 2 values per
+    pass, so both are summed that way and divided by T. At N = 1 numpy
+    sums the T per-pass entropies pairwise, so they are kept and
+    averaged by numpy; that is the one array that grows with T.
     """
 
-    def __init__(self, probs):
+    def __init__(self, probs, *, pass_entropy: bool = True):
         """The statistics of a (T, N, k) stack, folded as one block."""
         probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim != 3:
             raise ValueError(f"probs must be (T, N, k), got {probs.shape}")
-        self._fold([probs], len(probs))
+        self._fold([probs], len(probs), pass_entropy)
 
     @classmethod
-    def fold(cls, blocks, num_passes: int) -> "PredictiveSamples":
+    def fold(
+        cls, blocks, num_passes: int, *, pass_entropy: bool = True
+    ) -> "PredictiveSamples":
         """The statistics of num_passes passes, given as blocks of shape
         (T_b, N, k) in pass order."""
         samples = cls.__new__(cls)
-        samples._fold(blocks, num_passes)
+        samples._fold(blocks, num_passes, pass_entropy)
         return samples
 
-    def _fold(self, blocks, num_passes: int) -> None:
+    def _fold(self, blocks, num_passes: int, pass_entropy: bool) -> None:
         if num_passes < 1:
             raise ValueError("need at least one pass")
-        total = entropies = None
+        total = entropy = None
         done = 0
         for block in blocks:
             # written so that NaN fails both checks
             if not np.all(block >= 0):
                 raise ValueError("negative or NaN probabilities")
-            if not np.max(np.abs(block.sum(axis=2) - 1.0)) <= 1e-10:
+            if not np.max(np.abs(row_sums(block) - 1.0)) <= 1e-10:
                 raise ValueError("probability rows must sum to 1 within 1e-10")
             if total is None:
                 total = np.zeros(block.shape[1:])
-                entropies = np.empty((num_passes, block.shape[1]))
-            entropies[done:done + len(block)] = _entropy_rows(block)
+                if pass_entropy:
+                    n = block.shape[1]
+                    # a running sum at N >= 2, the per-pass values at N = 1
+                    entropy = np.zeros(n) if n >= 2 else np.empty((num_passes, n))
+            if entropy is not None:
+                if entropy.ndim == 1:
+                    for row in _entropy_rows(block):
+                        entropy += row
+                else:
+                    entropy[done:done + len(block)] = _entropy_rows(block)
             for probs in block:
                 total += probs
             done += len(block)
@@ -84,12 +99,22 @@ class PredictiveSamples:
         total /= num_passes
         total.flags.writeable = False
         self._mean_probs = total
-        self.mean_pass_entropy = entropies.mean(axis=0)
+        if entropy is not None:
+            entropy = entropy / num_passes if entropy.ndim == 1 else entropy.mean(axis=0)
+        self._mean_pass_entropy = entropy
         self.num_passes = num_passes
 
     def mean_probs(self) -> np.ndarray:
         """The pass-averaged class probabilities, shape (N, k), read-only."""
         return self._mean_probs
+
+    @property
+    def mean_pass_entropy(self) -> np.ndarray:
+        """Each row's mean per-pass entropy, shape (N,)."""
+        if self._mean_pass_entropy is None:
+            raise ValueError("mean_pass_entropy was not folded: these samples "
+                             "were drawn with pass_entropy=False")
+        return self._mean_pass_entropy
 
 
 def predict_probs(model: MlpModel, inputs) -> np.ndarray:
@@ -100,10 +125,12 @@ def predict_probs(model: MlpModel, inputs) -> np.ndarray:
 
 @one_blas_thread()
 def mc_dropout_predict(
-    model: MlpModel, inputs, num_passes: int, seed: int
+    model: MlpModel, inputs, num_passes: int, seed: int, *,
+    pass_entropy: bool = True,
 ) -> PredictiveSamples:
     """num_passes stochastic forward passes; pass t draws its masks from
-    derive_seed(seed, STREAM_MC, t).
+    derive_seed(seed, STREAM_MC, t). pass_entropy=False skips the
+    per-pass entropies (PredictiveSamples).
 
     With dropout_rate = 0 every pass equals the eval-mode prediction.
     Runs under one_blas_thread(), so a large call may run its passes on
@@ -114,7 +141,7 @@ def mc_dropout_predict(
     seeds = [derive_seed(seed, STREAM_MC, t) for t in range(num_passes)]
     blocks = mc_dropout_blocks(model, inputs, seeds, MC_BLOCK_PASSES)
     with contextlib.closing(blocks):
-        return PredictiveSamples.fold(blocks, num_passes)
+        return PredictiveSamples.fold(blocks, num_passes, pass_entropy=pass_entropy)
 
 
 def uses_mc(model: MlpModel, passes: int) -> bool:
@@ -125,18 +152,23 @@ def uses_mc(model: MlpModel, passes: int) -> bool:
 
 @one_blas_thread()
 def predictive_samples(
-    model: MlpModel, inputs, passes: int, seed: int
+    model: MlpModel, inputs, passes: int, seed: int, *,
+    pass_entropy: bool = True,
 ) -> PredictiveSamples:
     """The model's predictive distribution on `inputs`, as it deploys: the
     one function that draws one, MC-averaged or deterministic.
 
     A dropout model with passes > 1 gets `passes` MC-dropout passes
     seeded by `seed`. Otherwise predict_probs' one eval-mode pass gives a
-    T=1 stack, and the seed is ignored. Runs under one_blas_thread().
+    T=1 stack, and the seed is ignored. pass_entropy=False skips the
+    per-pass entropies, which only mutual_information_score reads. Runs
+    under one_blas_thread().
     """
     if uses_mc(model, passes):
-        return mc_dropout_predict(model, inputs, passes, seed)
-    return PredictiveSamples(predict_probs(model, inputs)[None])
+        return mc_dropout_predict(model, inputs, passes, seed,
+                                  pass_entropy=pass_entropy)
+    return PredictiveSamples(predict_probs(model, inputs)[None],
+                             pass_entropy=pass_entropy)
 
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:
@@ -145,7 +177,7 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     terms = np.where(p > 0.0, p, 1.0)
     np.log(terms, out=terms)
     terms *= p
-    return -terms.sum(axis=-1)
+    return -row_sums(terms)
 
 
 def confidence_score(samples: PredictiveSamples) -> np.ndarray:
@@ -262,10 +294,22 @@ def mahalanobis_score(detector: MahalanobisDetector, rows) -> np.ndarray:
         raise ValueError(
             f"rows must be (N, {detector.feature_dim}), got {x.shape}"
         )
-    # (k, N, d) differences -> per-class quadratic forms
-    diffs = x[None, :, :] - detector.class_means[:, None, :]
-    quad = np.einsum("kni,ij,knj->kn", diffs, detector.precision, diffs)
-    return (-quad).max(axis=0)
+    if len(x) < 3:
+        # einsum picks the order of each quadratic form's sum from its
+        # operands' shapes and strides, and on one or two rows of 2
+        # features the per-class form below picks another one than this
+        # batched form; the (k, N, d) differences are small here
+        diffs = x[None, :, :] - detector.class_means[:, None, :]
+        quad = np.einsum("kni,ij,knj->kn", diffs, detector.precision, diffs)
+        return (-quad).max(axis=0)
+    # one class at a time, so the differences are (N, d), not (k, N, d);
+    # the running maximum is numpy's reduction over the class axis
+    best = None
+    for mean in detector.class_means:
+        diff = x - mean
+        score = -np.einsum("ni,ij,nj->n", diff, detector.precision, diff)
+        best = score if best is None else np.maximum(best, score, out=best)
+    return best
 
 
 def penultimate_features(model: MlpModel, inputs) -> np.ndarray:

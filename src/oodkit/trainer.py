@@ -262,17 +262,20 @@ VAL_MC_PASSES = 30
 def _predictive(
     model: MlpModel, split: DatasetSplit, seed: int, traces: list[ForwardTrace]
 ) -> PredictiveSamples:
-    """predictive_samples over VAL_MC_PASSES on split, except that an eval
+    """predictive_samples over VAL_MC_PASSES on split, without the
+    per-pass entropies that validation never reads, except that an eval
     pass runs in buffers kept for the split: traces is the caller's list
     for split, empty until the first eval pass appends its trace, which
     later ones rerun in. Allocated anew, the outlier split's 0.5 MB arrays
     made the allocator return and refault about 2 MB per epoch in some
     processes."""
     if uses_mc(model, VAL_MC_PASSES):
-        return predictive_samples(model, split.features, VAL_MC_PASSES, seed)
+        return predictive_samples(model, split.features, VAL_MC_PASSES, seed,
+                                  pass_entropy=False)
     if not traces:
         traces.append(ForwardTrace.allocate(model, split.features, False))
-    return PredictiveSamples(softmax(forward_into(model, traces[0], None))[None])
+    return PredictiveSamples(softmax(forward_into(model, traces[0], None))[None],
+                             pass_entropy=False)
 
 
 def _validation_metrics(

@@ -213,7 +213,7 @@ def test_eval_does_each_piece_of_work_once(pipeline, tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
 
     spy(oodkit.scores, "mc_dropout_predict", passes,
-        lambda model, inputs, num_passes, seed: num_passes)
+        lambda model, inputs, num_passes, seed, **kwargs: num_passes)
     spy(oodkit.trainer, "fit_mahalanobis", fits, lambda *a, **k: 1)
     spy(oodkit.metrics, "eval_logits", grid_rows, lambda model, inputs: len(inputs))
     assert main([

@@ -33,6 +33,7 @@ from oodkit.nn import (
     mc_dropout_probs,
     one_blas_thread,
     pass_threads,
+    row_sums,
     save_model,
     set_blas_threads,
     sgd_step,
@@ -232,6 +233,52 @@ def test_softmax_bytes_equal_the_reference_formula(rows, k, log_scale, tie_share
     # a column-major input sums its rows in another order, from 8 columns on
     z_f = np.asfortranarray(z)
     assert softmax(z_f).tobytes() == reference_softmax(z_f).tobytes()
+
+
+# values where the order of a sum shows: signed zeros, subnormals, and
+# magnitudes whose sums overflow or cancel
+ROW_SUM_VALUES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1e-300,
+     1e16, -1e16, 0.1, 1.0 / 3.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lead=st.sampled_from([(), (3,)]),
+    rows=st.integers(1, 9),
+    k=st.integers(1, 7),
+    data=st.data(),
+    one_hot=st.booleans(),
+    fortran=st.booleans(),
+)
+def test_row_sums_equal_numpy_below_8_columns(lead, rows, k, data, one_hot, fortran):
+    # 2-D and 3-D arrays, in either memory order
+    z = data.draw(hnp.arrays(np.float64, lead + (rows, k), elements=st.one_of(
+        ROW_SUM_VALUES, st.floats(-1e300, 1e300, allow_subnormal=True))))
+    if one_hot:
+        z[...] = -0.0
+        z[..., data.draw(st.integers(0, k - 1))] = 1.0
+    if fortran:
+        z = np.asfortranarray(z)
+    assert row_sums(z).shape == z.shape[:-1]
+    assert row_sums(z).tobytes() == z.sum(axis=-1).tobytes()
+
+
+def test_row_sums_match_numpy_where_the_order_shows():
+    # numpy adds a short row into +0.0, so a row of -0.0 sums to +0.0
+    z = np.full((2, 3), -0.0)
+    assert not np.signbit(row_sums(z)).any()
+    # and sums 8 or more columns pairwise, not left to right
+    row = np.array([[1.0, 1e16, -1e16, 1.0, 0.0, 0.0, 0.0, 0.0]])
+    assert row_sums(row)[0] == row.sum() == 0.0 != ((1.0 + 1e16) - 1e16) + 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(8, 40), seed=st.integers(0, 2**32 - 1))
+def test_row_sums_equal_numpy_from_8_columns(k, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(5, k)) * 10.0 ** rng.integers(-20, 20, size=(5, k))
+    assert row_sums(z).tobytes() == z.sum(axis=-1).tobytes()
 
 
 # ---------------------------------------------------------------------------

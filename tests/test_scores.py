@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -227,12 +227,48 @@ def test_folded_blocks_score_as_the_stack(stack):
         "entropy": _entropy_rows(mean),
         "mutual_information": _entropy_rows(mean) - _entropy_rows(stack).mean(axis=0),
     }
+    # the stacks include rows one-hot in every pass, whose -0.0 per-pass
+    # entropies numpy's pass-axis mean sums to +0.0 at N >= 2
+    pass_entropy = _entropy_rows(stack).mean(axis=0)
     for s in (PredictiveSamples.fold(blocks_of(stack), len(stack)),
               PredictiveSamples(stack)):
         assert s.num_passes == len(stack)
         assert s.mean_probs().tobytes() == mean.tobytes()
+        assert s.mean_pass_entropy.tobytes() == pass_entropy.tobytes()
         for kind, score in SOFTMAX_SCORES.items():
             assert score(s).tobytes() == expected[kind].tobytes(), kind
+    for s in (PredictiveSamples.fold(blocks_of(stack), len(stack), pass_entropy=False),
+              PredictiveSamples(stack, pass_entropy=False)):
+        assert s.num_passes == len(stack)
+        assert s.mean_probs().tobytes() == mean.tobytes()
+        for kind in ("confidence", "entropy"):
+            assert SOFTMAX_SCORES[kind](s).tobytes() == expected[kind].tobytes(), kind
+
+
+def test_one_hot_rows_average_to_positive_zero_entropy():
+    stack = np.zeros((MC_BLOCK_PASSES + 2, 3, 3))
+    stack[:, :, 0] = 1.0
+    stack[:, 2] = 1.0 / 3.0
+    expected = _entropy_rows(stack).mean(axis=0)
+    assert np.signbit(_entropy_rows(stack)[:, :2]).all()
+    assert not np.signbit(expected).any()
+    s = PredictiveSamples.fold(blocks_of(stack), len(stack))
+    assert s.mean_pass_entropy.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: PredictiveSamples(np.full((2, 3, 2), 0.5), pass_entropy=False),
+    lambda: mc_dropout_predict(init_mlp([2, 8, 3], dropout_rate=0.2, seed=0),
+                               np.zeros((4, 2)), 3, 0, pass_entropy=False),
+    lambda: predictive_samples(init_mlp([2, 8, 3], seed=0), np.zeros((4, 2)), 1, 0,
+                               pass_entropy=False),
+])
+def test_reading_an_unfolded_pass_entropy_raises(draw):
+    samples = draw()
+    with pytest.raises(ValueError, match="mean_pass_entropy was not folded"):
+        samples.mean_pass_entropy
+    with pytest.raises(ValueError, match="mean_pass_entropy was not folded"):
+        mutual_information_score(samples)
 
 
 @pytest.mark.parametrize("value,message", [
@@ -266,9 +302,9 @@ def test_mc_dropout_predict_folds_the_stack_across_blocks(rows):
         assert s.mean_pass_entropy.tobytes() == _entropy_rows(stack).mean(axis=0).tobytes()
 
 
-def test_mc_dropout_memory_grows_only_by_the_entropy_array():
-    # the (T, N) per-pass entropies are all that grows with T; a (T, N, k)
-    # stack would add T * N * k * 8 bytes and its temporaries more
+def test_mc_dropout_memory_does_not_grow_with_passes():
+    # at N >= 2 every statistic is a running sum: (T, N) per-pass
+    # entropies would add T * N * 8 bytes, 3.75 MB here
     model = init_mlp([2, 16, 3], dropout_rate=0.2, seed=0)
     x = np.random.default_rng(0).normal(size=(1000, 2))
 
@@ -282,7 +318,7 @@ def test_mc_dropout_memory_grows_only_by_the_entropy_array():
 
     peak(32)  # caches and lazy set-up
     growth = peak(512) - peak(32)
-    assert growth <= (512 - 32) * len(x) * 8 + 256 * 1024, growth
+    assert growth <= 64 * 1024, growth
 
 
 def test_mc_dropout_rejects_bad_pass_count():
@@ -497,6 +533,35 @@ def test_score_invariant_under_class_permutation():
     np.testing.assert_allclose(
         mahalanobis_score(det, pts), mahalanobis_score(det_perm, pts), atol=1e-12
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 12),
+    n=st.integers(1, 40),
+    d=st.integers(1, 8),
+    nan_rows=st.sampled_from([0.0, 0.2]),
+    at_means=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=3, n=1, d=2, nan_rows=0.0, at_means=0.0, seed=1)
+@example(k=2, n=2, d=2, nan_rows=0.0, at_means=0.0, seed=0)
+@example(k=3, n=3, d=2, nan_rows=0.0, at_means=0.0, seed=0)
+def test_score_equals_the_batched_expression(k, n, d, nan_rows, at_means, seed):
+    # class by class, bit for bit the (k, N, d) form it replaced, with
+    # rows at a class mean (some classes share one) and rows of NaN
+    rng = np.random.default_rng(seed)
+    means = rng.normal(size=(k, d))
+    means[rng.random(k) < 0.3] = means[0]
+    a = rng.normal(size=(d, d))
+    det = MahalanobisDetector(means, a @ a.T + np.eye(d))
+    x = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, d))
+    on_mean = rng.random(n) < at_means
+    x[on_mean] = means[rng.integers(0, k, size=int(on_mean.sum()))]
+    x[rng.random(n) < nan_rows] = np.nan
+    diffs = x[None, :, :] - det.class_means[:, None, :]
+    expected = (-np.einsum("kni,ij,knj->kn", diffs, det.precision, diffs)).max(axis=0)
+    assert mahalanobis_score(det, x).tobytes() == expected.tobytes()
 
 
 def test_score_dim_mismatch():
