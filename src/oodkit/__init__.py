@@ -70,6 +70,7 @@ from .trainer import (
     TrainConfig,
     TrainHistory,
     TrainingDiverged,
+    WorkerExited,
     corruption_error_table,
     default_config,
     evaluate_model,

@@ -39,6 +39,7 @@ from .trainer import (
     TRAIN_SPLITS,
     TrainConfig,
     TrainingDiverged,
+    WorkerExited,
     corruption_error_table,
     eval_report,
     eval_splits,
@@ -55,6 +56,7 @@ CONFIG_VERSION = 1
 OUT_ROOT_ENV = "OODKIT_OUT_ROOT"
 
 EXIT_OK = 0
+EXIT_WORKER = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
@@ -536,6 +538,9 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except WorkerExited as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

@@ -12,7 +12,9 @@ import dataclasses
 import functools
 import signal
 import threading
+from collections import deque
 from collections.abc import Callable
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,6 +306,15 @@ def _ood_entropy(
     return entropy_score(_predictive(model, ood, seed, traces))
 
 
+def _score_epoch(model: MlpModel, val: DatasetSplit, ood: DatasetSplit, mc_seed: int,
+                 traces: tuple[list, list]) -> tuple[float, float]:
+    """An epoch's val accuracy and entropy AUC against the outlier split
+    ood, on the passes mc_seed seeds; traces holds _predictive's lists."""
+    val_acc, val_entropy = _validation_metrics(model, val, mc_seed, traces[0])
+    ood_entropy = _ood_entropy(model, ood, mc_seed, traces[1])
+    return val_acc, 100.0 * auc_roc(val_entropy, ood_entropy, SCORE_ORIENTATION["entropy"])
+
+
 def _epoch_criterion(config: TrainConfig, record: EpochRecord) -> tuple:
     # OOD-blind baselines must not select their checkpoint on OOD data
     if config.needs_ood():
@@ -312,10 +323,10 @@ def _epoch_criterion(config: TrainConfig, record: EpochRecord) -> tuple:
 
 
 def _forks_validation_worker(model: MlpModel) -> bool:
-    """Whether train scores the outlier split in a forked worker: its
-    validation draws MC passes, the process may use two CPUs and is not a
-    multiprocessing worker, the calling thread is the only thread (so no
-    other one holds a lock across the fork), and the platform can fork."""
+    """Whether train validates in a forked pool: its validation draws MC
+    passes, the process may use two CPUs and is not a multiprocessing
+    worker, the calling thread is the only thread (so no other one holds
+    a lock across the fork), and the platform can fork."""
     if (not uses_mc(model, VAL_MC_PASSES) or parallel_cpus() < 2
             or threading.active_count() > 1):
         return False
@@ -325,123 +336,111 @@ def _forks_validation_worker(model: MlpModel) -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+# Most processes in train's validation pool: 2 is the most measured.
+VALIDATION_WORKERS = 2
+
+
 def _init_validation_worker(errstate: dict) -> None:
     # an interrupt is the trainer's to handle; it then stops this worker
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     np.seterr(**errstate)
 
 
-def _ood_entropy_task(snapshot: np.ndarray, layer_dims: list[int], dropout_rate: float,
-                      ood_split: DatasetSplit, mc_seed: int) -> np.ndarray:
-    """_ood_entropy's scores for the model whose flat parameters are
-    snapshot, as the validation worker computes them. The model is built
-    here, so non-finite parameters raise where the epoch's scores are
-    read; and _ood_entropy is looked up as the task runs, so a wrapper
-    installed before the fork runs in the worker."""
+def _score_epoch_task(snapshot: np.ndarray, layer_dims: list[int], dropout_rate: float,
+                      val: DatasetSplit, ood: DatasetSplit, mc_seed: int) -> tuple:
+    """_score_epoch on the model whose flat parameters are snapshot, in a
+    validation worker. Non-finite parameters raise as the scores are read,
+    and a wrapper installed before the fork runs here."""
     model = MlpModel(layer_dims, *_layer_views(snapshot, layer_dims), dropout_rate)
-    return _ood_entropy(model, ood_split, mc_seed, [])
+    return _score_epoch(model, val, ood, mc_seed, ([], []))
 
 
-def _from_worker(call: Callable, *args):
-    """call(*args), raising a dead validation worker's BrokenExecutor as RuntimeError."""
-    from concurrent.futures import BrokenExecutor
+class WorkerExited(RuntimeError):
+    """A process of train's validation pool or of sweep's pool died."""
 
+
+def _from_worker(which: str, call: Callable, *args):
+    """call(*args), raising a dead worker's BrokenExecutor as WorkerExited."""
     try:
         return call(*args)
     except BrokenExecutor as exc:
-        raise RuntimeError("the validation worker exited unexpectedly") from exc
+        raise WorkerExited(f"{which} exited unexpectedly") from exc
 
 
 class _Validation:
     """Per-epoch validation and checkpoint selection for one train call.
 
-    Under _forks_validation_worker's rule, the outlier split is scored in
-    a one-process pool forked at the first epoch's end. end_epoch(e) keeps
-    a snapshot of the parameters, submits the outlier split's scoring to
-    the pool if there is one, and scores val on the calling thread. It
-    then resolves epoch e - 1 if it is pending, which it is only with a
-    pool, and makes e the pending epoch; without a pool it resolves e at
-    once. Resolving an epoch appends its EpochRecord and applies the
-    selection rule, in epoch order, so the history is the same either way.
-    The pool's feeder thread sends the snapshots, so neither process
-    waits in a send for the other.
+    Under _forks_validation_worker's rule, min(VALIDATION_WORKERS,
+    parallel_cpus()) forked processes score whole epochs while the caller
+    trains: end_epoch(e) submits a snapshot of the parameters, then
+    resolves the oldest epochs while more than workers + 1 are unresolved.
+    Without a pool it scores and resolves e at once. Epochs are resolved
+    in epoch order, so the history is the same either way.
     """
 
     def __init__(self, config: TrainConfig, model: MlpModel, flat: np.ndarray,
                  val: DatasetSplit, ood_split: DatasetSplit, history: TrainHistory):
         self.config, self.model, self.flat, self.history = config, model, flat, history
         self.val, self.ood_split = val, ood_split
-        self.pending: tuple | None = None
-        self.val_traces, self.ood_traces = [], []
+        # (epoch, snapshot, future, train_loss, terms), oldest first
+        self.unresolved: deque[tuple] = deque()
+        self.traces = ([], [])
         self.best_criterion = None
         self.best_params: np.ndarray | None = None
-        self.pool = None
+        self.pool, self.depth = None, 0
         if _forks_validation_worker(model):
             # imported here: `import oodkit` then loads no multiprocessing
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            self.pool = ProcessPoolExecutor(1, multiprocessing.get_context("fork"),
+            workers = min(VALIDATION_WORKERS, parallel_cpus())
+            # the fork context starts every worker at the first submit,
+            # before the pool starts any thread
+            self.pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                             _init_validation_worker, (np.geterr(),))
+            self.depth = workers + 1
 
     def end_epoch(self, epoch: int, train_loss: float, terms: dict[str, float]) -> None:
         snapshot = self.flat.copy()
         mc_seed = derive_seed(self.config.seed, STREAM_VAL_MC, epoch)
-        future = None
-        if self.pool is not None:
-            future = _from_worker(self.pool.submit, _ood_entropy_task, snapshot,
-                                  self.model.layer_dims, self.model.dropout_rate,
-                                  self.ood_split, mc_seed)
-        try:
-            val_acc, val_entropy = _validation_metrics(self.model, self.val, mc_seed,
-                                                       self.val_traces)
-        except ValueError as exc:
-            # an earlier epoch's failure, still in flight, came first
-            self.resolve_pending()
-            raise self._diverged(epoch) from exc
-        self.resolve_pending()
-        self.pending = (epoch, snapshot, mc_seed, future, train_loss, terms, val_acc,
-                        val_entropy)
-        if future is None:
-            # the model's parameters are still the snapshot's
-            self.resolve_pending()
+        if self.pool is None:
+            # resolved below, while the model's parameters are the snapshot's
+            future = functools.partial(_score_epoch, self.model, self.val, self.ood_split,
+                                       mc_seed, self.traces)
+        else:
+            future = _from_worker("a validation worker", self.pool.submit,
+                                  _score_epoch_task, snapshot, self.model.layer_dims,
+                                  self.model.dropout_rate, self.val, self.ood_split,
+                                  mc_seed)
+        self.unresolved.append((epoch, snapshot, future, train_loss, terms))
+        self.resolve(self.depth)
 
-    def resolve_pending(self) -> None:
-        """Resolve the pending epoch, if there is one."""
-        if self.pending is None:
-            return
-        (epoch, snapshot, mc_seed, future, train_loss, terms, val_acc,
-         val_entropy) = self.pending
-        self.pending = None
-        try:
-            if future is not None:
-                ood_entropy = _from_worker(future.result)
-            else:
-                ood_entropy = _ood_entropy(self.model, self.ood_split, mc_seed,
-                                           self.ood_traces)
-            ent_auc = 100.0 * auc_roc(val_entropy, ood_entropy,
-                                      SCORE_ORIENTATION["entropy"])
-        except ValueError as exc:
-            raise self._diverged(epoch) from exc
-        record = EpochRecord(epoch, train_loss, terms, val_acc, ent_auc)
-        self.history.records.append(record)
-        criterion = _epoch_criterion(self.config, record)
-        # ties go to the later epoch: the outlier-shaping terms keep
-        # tightening after the validation criterion saturates
-        if self.best_criterion is None or criterion >= self.best_criterion:
-            self.best_criterion = criterion
-            self.history.best_epoch = epoch
-            self.best_params = snapshot
+    def resolve(self, keep: int = 0) -> None:
+        """Resolve the oldest epochs in order until at most keep are unresolved."""
+        while len(self.unresolved) > keep:
+            epoch, snapshot, future, train_loss, terms = self.unresolved.popleft()
+            try:
+                val_acc, ent_auc = (future() if self.pool is None
+                                    else _from_worker("a validation worker", future.result))
+            except ValueError as exc:
+                # finite but extreme parameters can overflow the validation
+                # forward pass: a divergence, and the first one wins
+                self.unresolved.clear()
+                raise TrainingDiverged(f"non-finite validation outputs at epoch {epoch}",
+                                       self.history) from exc
+            record = EpochRecord(epoch, train_loss, terms, val_acc, ent_auc)
+            self.history.records.append(record)
+            criterion = _epoch_criterion(self.config, record)
+            # ties go to the later epoch: the outlier-shaping terms keep
+            # tightening after the validation criterion saturates
+            if self.best_criterion is None or criterion >= self.best_criterion:
+                self.best_criterion = criterion
+                self.history.best_epoch = epoch
+                self.best_params = snapshot
 
     def close(self) -> None:
         if self.pool is not None:
             self.pool.shutdown(cancel_futures=True)
-
-    def _diverged(self, epoch: int) -> TrainingDiverged:
-        # finite but extreme parameters can overflow the validation
-        # forward pass; that is a divergence, not a usage error
-        return TrainingDiverged(f"non-finite validation outputs at epoch {epoch}",
-                                self.history)
 
 
 def _layer_views(flat: np.ndarray, dims: list[int]) -> tuple[list, list]:
@@ -524,11 +523,12 @@ def train(
 
     When validation draws MC passes, the process may use two CPUs and is
     not a multiprocessing worker, the calling thread is the only thread
-    and the platform can fork, a one-process pool forked for this call
-    scores the outlier split of epoch e while epoch e + 1 trains. The
+    and the platform can fork, a two-process pool forked for this call
+    scores each epoch while later ones train; a validation failure at
+    epoch e raises once epoch e + 3 has trained, or at the end. The
     history and the returned model are the same bytes either way. The
-    pool is shut down and its worker joined however the call ends; if the
-    worker dies, the call raises RuntimeError.
+    pool is shut down and its workers joined however the call ends; if a
+    worker dies, the call raises WorkerExited, a RuntimeError.
     """
     _require_splits(benchmark, *TRAIN_SPLITS)
     for role in TRAIN_SPLITS:
@@ -647,11 +647,11 @@ def train(
 
             validation.end_epoch(epoch, loss_sum / seen,
                                  {k: v / seen for k, v in term_sums.items()})
-        validation.resolve_pending()
+        validation.resolve()
     except TrainingDiverged:
-        # the previous epoch's validation may still be in flight, and a
+        # earlier epochs' validation may still be in flight, and a
         # failure there came first
-        validation.resolve_pending()
+        validation.resolve()
         raise
     finally:
         validation.close()
@@ -733,7 +733,7 @@ def sweep(
     worker per point. Each worker trains on one BLAS thread (train pins
     it) and one MC pass thread (pass_threads gives pool workers one);
     results are merged by grid index, so the leaderboard is independent
-    of scheduling.
+    of scheduling. A dead worker raises WorkerExited.
     """
     configs = grid_configs(base_config, grid)
     if workers < 1:
@@ -747,7 +747,7 @@ def sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(task, configs))
+            outcomes = _from_worker("a sweep worker", lambda: list(pool.map(task, configs)))
     else:
         outcomes = [task(cfg) for cfg in configs]
 

@@ -11,6 +11,7 @@ import pytest
 
 import oodkit.cli
 import oodkit.metrics
+import oodkit.nn
 import oodkit.scores
 import oodkit.trainer
 from oodkit.cli import OUT_ROOT_ENV, main
@@ -493,6 +494,35 @@ def test_divergence_prints_only_its_report(pipeline, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("training diverged: ")
     assert not (tmp_path / "run").exists()
+
+
+def exit_in_the_worker(*args, **kwargs):
+    """Stands in for a task that a worker process runs: it ends the worker."""
+    os._exit(3)
+
+
+@pytest.mark.parametrize("command,workers,task,which", [
+    ("train", [], "_score_epoch_task", "a validation worker"),
+    ("sweep", ["--workers", "1"], "_score_epoch_task", "a validation worker"),
+    ("sweep", ["--workers", "2"], "_sweep_task", "a sweep worker"),
+], ids=["train", "sweep-workers-1", "sweep-workers-2"])
+def test_a_dead_worker_prints_one_error_line(pipeline, tmp_path, monkeypatch, capfd,
+                                             command, workers, task, which):
+    # the task is pickled by name, so the stand-in runs only in a worker
+    monkeypatch.setattr(oodkit.trainer, task, exit_in_the_worker)
+    monkeypatch.setattr(oodkit.nn, "available_cpus", lambda: 2)
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"config_version": 1, "train": {"objective": "ce", "epochs": 2,
+                                                   "dropout_rate": 0.2}})
+    grid = tmp_path / "grid.json"
+    write_json(grid, {"grid_version": 1, "grid": [{"lr": 0.05}, {"lr": 0.1}]})
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--data", str(pipeline["data"]),
+            "--out", str(out), *workers]
+    assert main(argv + (["--grid", str(grid)] if command == "sweep" else [])) == 1
+    # read at the descriptor, so a worker's own output would show too
+    assert capfd.readouterr().err == f"error: {which} exited unexpectedly\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,scale_layers,extra,reason", [

@@ -580,19 +580,29 @@ def test_sweep_starts_at_most_one_worker_per_point(
         assert StandInPool.made == [{"max_workers": pool_size}]
 
 
-def test_train_and_evaluate_run_blas_on_one_thread(tiny_benchmark, monkeypatch):
+def test_train_and_evaluate_run_blas_on_one_thread(
+    tiny_benchmark, tmp_path, monkeypatch, started_workers
+):
     from oodkit.nn import blas_threads, set_blas_threads
 
     if blas_threads() is None:
         pytest.skip("numpy's BLAS exports no thread-count symbols")
 
-    seen = []
+    log = tmp_path / "calls"
+    parent = os.getpid()
 
     def spy(fn):
+        # logged to a file, so that calls in validation workers show too
         def wrapped(*args, **kwargs):
-            seen.append((fn.__name__, blas_threads()))
+            with open(log, "a") as fh:
+                fh.write(f"{fn.__name__} {blas_threads()} {os.getpid() != parent}\n")
             return fn(*args, **kwargs)
         return wrapped
+
+    def seen() -> set:
+        calls = set(log.read_text().splitlines())
+        log.unlink()
+        return calls
 
     monkeypatch.setattr(trainer_mod, "forward_into", spy(trainer_mod.forward_into))
     monkeypatch.setattr(trainer_mod, "predictive_samples",
@@ -600,13 +610,16 @@ def test_train_and_evaluate_run_blas_on_one_thread(tiny_benchmark, monkeypatch):
     before = set_blas_threads(2)
     try:
         config = dataclasses.replace(default_config("ce_cosine"), epochs=1)
-        trained, _ = train(config, tiny_benchmark, fresh_model(config, tiny_benchmark))
-        assert blas_threads() == 2
-        assert set(seen) == {("forward_into", 1), ("predictive_samples", 1)}
-        seen.clear()
+        # validation in the pool's workers, then inline
+        for cpus in (2, 1):
+            monkeypatch.setattr(nn_mod, "available_cpus", lambda cpus=cpus: cpus)
+            trained, _ = train(config, tiny_benchmark, fresh_model(config, tiny_benchmark))
+            assert blas_threads() == 2
+            assert seen() == {"forward_into 1 False", f"predictive_samples 1 {cpus == 2}"}
+        assert len(started_workers) == 1
         evaluate_model(trained, tiny_benchmark, mc_passes=3)
         assert blas_threads() == 2
-        assert set(seen) == {("predictive_samples", 1)}
+        assert seen() == {"predictive_samples 1 False"}
     finally:
         set_blas_threads(before)
 
@@ -666,8 +679,8 @@ def mc_config(objective: str, epochs: int) -> TrainConfig:
 @pytest.fixture
 def started_workers(monkeypatch):
     """One entry per validation pool that train starts during the test:
-    the pool's worker processes, read as train shuts the pool down (the
-    pool forgets them once they exit)."""
+    the list of the pool's worker processes, read as train shuts the pool
+    down (the pool forgets them once they exit)."""
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -695,28 +708,54 @@ def train_outcome(cfg: TrainConfig, benchmark):
 
 
 def both_paths(cfg: TrainConfig, benchmark, monkeypatch, started, steps=None):
-    """train_outcome with the validation worker, then inline on one CPU;
+    """train_outcome with the validation pool, then inline on one CPU;
     and, given count_steps' list, the batch steps each call ran."""
     outcomes, counts = [], []
+    pools = len(started)
     for cpus in (2, 1):
         monkeypatch.setattr(nn_mod, "available_cpus", lambda cpus=cpus: cpus)
         if steps is not None:
             steps.clear()
         outcomes.append(train_outcome(cfg, benchmark))
         counts.append(None if steps is None else len(steps))
-        assert len(started) == 1
+        assert len(started) == pools + 1
     return outcomes, counts
 
 
-@pytest.mark.parametrize("epochs", [1, 2, 3])
+@pytest.mark.parametrize("epochs", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_the_validation_worker_changes_no_output(
     objective, epochs, tiny_benchmark, monkeypatch, started_workers
 ):
-    (piped, inline), _ = both_paths(mc_config(objective, epochs), tiny_benchmark,
-                                    monkeypatch, started_workers)
-    assert piped == inline
-    assert len(piped[1]["records"]) == epochs
+    outcomes = []
+    for workers in (1, 2):
+        monkeypatch.setattr(trainer_mod, "VALIDATION_WORKERS", workers)
+        outcomes += both_paths(mc_config(objective, epochs), tiny_benchmark,
+                               monkeypatch, started_workers)[0]
+    assert [len(pool) for pool in started_workers] == [1, 2]
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+    assert len(outcomes[0][1]["records"]) == epochs
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_caller_holds_at_most_workers_plus_one_epochs(
+    workers, tiny_benchmark, monkeypatch, started_workers
+):
+    held = []
+    real = trainer_mod._Validation.resolve
+
+    def recording(self, keep=0):
+        real(self, keep)
+        held.append(len(self.unresolved))
+
+    monkeypatch.setattr(trainer_mod, "VALIDATION_WORKERS", workers)
+    monkeypatch.setattr(trainer_mod._Validation, "resolve", recording)
+    monkeypatch.setattr(nn_mod, "available_cpus", lambda: 2)
+    cfg = mc_config("ce_cosine", epochs=6)
+    train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
+    assert [len(pool) for pool in started_workers] == [workers]
+    # after each epoch's end, then after the last epoch
+    assert held == [min(epoch, workers + 1) for epoch in range(1, 7)] + [0]
 
 
 def count_steps(monkeypatch, fail_at=None, error=None) -> list:
@@ -761,7 +800,7 @@ def fail_validation(monkeypatch, name: str, cfg: TrainConfig, epoch: int) -> Non
 def test_a_validation_failure_raises_with_the_earlier_records(
     name, epoch, tiny_benchmark, monkeypatch, started_workers
 ):
-    cfg = mc_config("ce_cosine", epochs=4)
+    cfg = mc_config("ce_cosine", epochs=6)
     fail_validation(monkeypatch, name, cfg, epoch)
     steps = count_steps(monkeypatch)
     (piped, inline), counts = both_paths(cfg, tiny_benchmark, monkeypatch,
@@ -770,9 +809,10 @@ def test_a_validation_failure_raises_with_the_earlier_records(
     message, history = piped
     assert message == f"non-finite validation outputs at epoch {epoch}"
     assert len(history["records"]) == epoch - 1
-    # the worker's failure at epoch e shows once epoch e + 1 has trained
+    # with two workers, the pool's failure at epoch e shows once epoch
+    # e + 3 has trained
     batches = batches_per_epoch(cfg, tiny_benchmark)
-    assert counts == [(epoch + (name == "_ood_entropy")) * batches, epoch * batches]
+    assert counts == [(epoch + 3) * batches, epoch * batches]
 
 
 @pytest.mark.parametrize("validation_fails", [False, True])
@@ -825,10 +865,11 @@ def test_train_leaves_no_child_behind(
         count_steps(monkeypatch, fail_at=batches + 1, error=KeyboardInterrupt())
         with pytest.raises(KeyboardInterrupt):
             train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
-    [[worker]] = started_workers
+    [workers] = started_workers
+    assert len(workers) == 2
     assert multiprocessing.active_children() == []
-    # it stopped once the pool shut down; it was not killed
-    assert worker.exitcode == 0
+    # they stopped once the pool shut down; none was killed
+    assert [worker.exitcode for worker in workers] == [0, 0]
 
 
 def test_the_worker_passes_messages_larger_than_the_pipe_buffer(
@@ -865,17 +906,17 @@ def test_the_worker_passes_messages_larger_than_the_pipe_buffer(
     assert [r.epoch for r in history.records] == [1, 2, 3]
 
 
-def test_the_worker_task_scores_as_ood_entropy(tiny_benchmark):
+def test_the_worker_task_scores_as_the_inline_path(tiny_benchmark):
     model = init_mlp([2, 8, 3], dropout_rate=0.3, seed=0)
-    split = tiny_benchmark["train_ood"]
+    val, ood = tiny_benchmark["val"], tiny_benchmark["train_ood"]
     for epoch in (4, 5):
         model.weights[0] *= 1.5
         snapshot = np.concatenate([a.ravel() for a in model.weights + model.biases])
         mc_seed = derive_seed(7, STREAM_VAL_MC, epoch)
-        scores = trainer_mod._ood_entropy_task(snapshot, model.layer_dims,
-                                               model.dropout_rate, split, mc_seed)
-        expected = trainer_mod._ood_entropy(model, split, mc_seed, [])
-        assert scores.tobytes() == expected.tobytes()
+        scores = trainer_mod._score_epoch_task(snapshot, model.layer_dims,
+                                               model.dropout_rate, val, ood, mc_seed)
+        expected = trainer_mod._score_epoch(model, val, ood, mc_seed, ([], []))
+        assert np.array(scores).tobytes() == np.array(expected).tobytes()
 
 
 def die_in_the_worker_at(monkeypatch, cfg: TrainConfig, epoch: int) -> None:
@@ -913,7 +954,7 @@ def test_train_raises_when_the_worker_dies(tiny_benchmark, monkeypatch, started_
     monkeypatch.setattr(trainer_mod._Validation, "end_epoch", after_the_death)
     with pytest.raises(RuntimeError, match="validation worker exited unexpectedly"):
         train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
-    assert started_workers[0][0].exitcode == 3
+    assert 3 in [worker.exitcode for worker in started_workers[0]]
 
 
 def test_train_raises_when_the_worker_dies_in_the_last_epoch(
@@ -924,7 +965,7 @@ def test_train_raises_when_the_worker_dies_in_the_last_epoch(
     die_in_the_worker_at(monkeypatch, cfg, 3)
     with pytest.raises(RuntimeError, match="validation worker exited unexpectedly"):
         train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
-    assert started_workers[0][0].exitcode == 3
+    assert 3 in [worker.exitcode for worker in started_workers[0]]
 
 
 def test_the_worker_rule_falls_back_inline(tiny_benchmark, monkeypatch, started_workers):
