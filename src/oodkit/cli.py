@@ -165,9 +165,12 @@ def build_manifest(
     }
 
 
-def write_manifest_file(command: str, config: dict, seeds: dict[str, int],
-                        out_dir: Path, outputs: list[str]) -> None:
+def write_manifest_file(command: str, config: dict, seeds: dict[str, int], out_dir: Path,
+                        outputs: list[str], hashed: dict | None = None) -> None:
+    """manifest.json over outputs plus hashed, the "outputs" of an earlier
+    build_manifest, whose files are not hashed again."""
     doc = build_manifest(command, config, seeds, out_dir, outputs)
+    doc["outputs"] = dict(sorted({**(hashed or {}), **doc["outputs"]}.items()))
     doc["created_utc"] = datetime.now(timezone.utc).isoformat()
     _dump_json(doc, out_dir / "manifest.json")
 
@@ -177,10 +180,12 @@ def write_results(
     outputs: list[str], name: str, results: dict,
 ) -> None:
     """Write `results` to `name` with the manifest of `outputs` embedded
-    as its last key, then manifest.json, which also covers `name`."""
+    as its last key, then manifest.json, which also covers `name`. Each
+    file is hashed once."""
     results["manifest"] = build_manifest(command, config, seeds, out_dir, outputs)
     _dump_json(results, out_dir / name)
-    write_manifest_file(command, config, seeds, out_dir, [*outputs, name])
+    write_manifest_file(command, config, seeds, out_dir, [name],
+                        results["manifest"]["outputs"])
 
 
 def _load_benchmark_dir(data_dir: Path, roles: tuple[str, ...]) -> dict:

@@ -204,6 +204,22 @@ class ForwardTrace:
         masks = [np.empty_like(h) if dropout else None for h in hidden]
         return cls(inputs, pre, hidden, masks)
 
+    @classmethod
+    def two_buffers(cls, model: "MlpModel", inputs: np.ndarray, logits, dropout: bool):
+        """A trace for forward_into with the given logits array, whose
+        hidden layers alternate between two flat buffers of rows times the
+        widest hidden layer's floats, with ReLU in place: a layer's input
+        and output never share a buffer. With dropout, hidden layer l's
+        mask is a view of the other buffer, used up before layer l + 1
+        writes there. Only the last hidden layer outlives the pass."""
+        rows, dims = len(inputs), model.layer_dims[1:-1]
+        width = max(dims, default=0)
+        buffers = [np.empty(rows * width) for _ in range(min(2, len(dims) + dropout))]
+        hidden = [buffers[l % 2][: rows * d].reshape(rows, d) for l, d in enumerate(dims)]
+        masks = [buffers[(l + 1) % 2][: rows * d].reshape(rows, d) if dropout else None
+                 for l, d in enumerate(dims)]
+        return cls(inputs, hidden + [logits], hidden, masks)
+
 
 @dataclass
 class Gradients:
@@ -283,44 +299,40 @@ def forward(
     return logits, trace
 
 
-def eval_logits(model: MlpModel, inputs) -> np.ndarray:
-    """forward(model, inputs, "eval")[0], bit for bit, without its trace.
-
-    The hidden layers alternate between two flat buffers of rows times
-    the widest hidden layer's floats, each layer in a contiguous view of
-    one, and ReLU runs in place, so a layer's input and output never
-    share a buffer. Both buffers are freed when the call returns.
-    """
+def eval_trace(model: MlpModel, inputs) -> ForwardTrace:
+    """The trace of an eval pass over inputs: ForwardTrace.two_buffers,
+    without masks, on the checked batch."""
     x = _as_batch(inputs, model.input_dim)
-    rows, hidden = len(x), model.layer_dims[1:-1]
-    width = max(hidden, default=0)
-    buffers = [np.empty(rows * width) for _ in range(min(2, len(hidden)))]
-    pre = [buffers[l % 2][: rows * d].reshape(rows, d) for l, d in enumerate(hidden)]
-    pre.append(np.empty((rows, model.num_classes)))
-    # hidden activations alias their pre-activations
-    trace = ForwardTrace(x, pre, pre[:-1], [None] * len(hidden))
-    return forward_into(model, trace, None)
+    return ForwardTrace.two_buffers(model, x, np.empty((len(x), model.num_classes)), False)
 
 
-def forward_into(model: MlpModel, trace: ForwardTrace, rng) -> np.ndarray:
-    """forward's arithmetic, unchecked, on trace.inputs. Writes every
-    layer's outputs into the trace's buffers and returns the logits,
-    trace.pre_activations[-1]. With an rng, each hidden layer's dropout
-    mask is drawn from it into trace.masks."""
+def eval_logits(model: MlpModel, inputs) -> np.ndarray:
+    """forward(model, inputs, "eval")[0], bit for bit, in an eval_trace,
+    whose buffers are freed when the call returns."""
+    return forward_into(model, eval_trace(model, inputs), None)
+
+
+def forward_into(model: MlpModel, trace: ForwardTrace, rng, start: int = 0) -> np.ndarray:
+    """forward's arithmetic, unchecked, from layer `start` on; the one
+    loop over layers. trace.inputs, which is only read, is layer start's
+    input: post-ReLU and unmasked above layer 0. Each layer's outputs go
+    into the trace's buffers, and the logits, trace.pre_activations[-1],
+    are returned. With an rng, each hidden layer's dropout mask is drawn
+    from it into trace.masks as (r < keep) * (1/keep), exactly 0 or
+    1/keep, and h * mask goes into trace.hidden_activations."""
     a = trace.inputs
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        if l > 0:
+    keep = 1.0 - model.dropout_rate
+    for l in range(start, len(model.weights)):
+        if l > start:
             a = np.maximum(z, 0.0, out=trace.hidden_activations[l - 1])
-            if rng is not None:
-                # the mask is 0 or 1/keep, as (r < keep).astype(float) / keep
-                keep = 1.0 - model.dropout_rate
-                mask = trace.masks[l - 1]
-                rng.random(out=mask)
-                np.less(mask, keep, out=mask)
-                mask /= keep
-                a *= mask
-        z = np.matmul(a, w.T, out=trace.pre_activations[l])
-        z += b
+        if l > 0 and rng is not None:
+            mask = trace.masks[l - 1]
+            rng.random(out=mask)
+            np.less(mask, keep, out=mask)
+            mask *= 1.0 / keep
+            a = np.multiply(a, mask, out=trace.hidden_activations[l - 1])
+        z = np.matmul(a, model.weights[l].T, out=trace.pre_activations[l])
+        z += model.biases[l]
     return z
 
 
@@ -373,10 +385,10 @@ def mc_dropout_probs(model: MlpModel, inputs, seeds) -> np.ndarray:
     """Softmax outputs of one dropout pass per seed, shape (T, N, k).
 
     Pass t equals softmax(forward(model, inputs, "train", seeds[t])[0])
-    bit for bit: it draws the same masks in the same order and does the
-    same float operations, only into buffers allocated once per call.
-    Layer 0's pre-activation and ReLU precede every mask, so they are
-    computed once. This is mc_dropout_blocks in one block of every pass.
+    bit for bit: it runs forward_into from layer 1 on seeds[t]'s
+    generator, only into buffers allocated once per call. Layer 0's
+    pre-activation and ReLU precede every mask, so they are computed
+    once. This is mc_dropout_blocks in one block of every pass.
     """
     (probs,) = mc_dropout_blocks(model, inputs, seeds, len(seeds))
     return probs
@@ -403,9 +415,8 @@ def mc_dropout_blocks(model: MlpModel, inputs, seeds, block_passes: int):
         raise ValueError(f"need at least one seed and block_passes >= 1, got "
                          f"{len(seeds)} seeds and block_passes {block_passes}")
     x = _as_batch(inputs, model.input_dim)
-    weights, biases = model.weights, model.biases
-    last = len(weights) - 1
-    h0 = x @ weights[0].T + biases[0]
+    last = len(model.weights) - 1
+    h0 = x @ model.weights[0].T + model.biases[0]
     if last > 0:
         np.maximum(h0, 0.0, out=h0)
     k = model.num_classes
@@ -415,7 +426,7 @@ def mc_dropout_blocks(model: MlpModel, inputs, seeds, block_passes: int):
         for start in range(0, len(seeds), len(logits))
     )
     if last > 0:
-        blocks = _run_passes(h0, weights, biases, model.dropout_rate, seeds, blocks)
+        blocks = _run_passes(model, h0, seeds, blocks)
     for block, _ in blocks:
         if last == 0:
             block[:] = h0
@@ -423,32 +434,16 @@ def mc_dropout_blocks(model: MlpModel, inputs, seeds, block_passes: int):
         yield block
 
 
-def _run_passes(h0, weights, biases, dropout_rate, seeds, blocks):
+def _run_passes(model: MlpModel, h0, seeds, blocks):
     """For each (block, start) of blocks, fill block[i] with the logits of
-    pass start + i from layer 1 on, given layer 0's post-ReLU output h0,
-    on up to pass_threads(...) threads, and yield the pair."""
-    last = len(weights) - 1
-    dropout_active = dropout_rate > 0.0
-    keep = 1.0 - dropout_rate
-    scale = 1.0 / keep
-    rows = len(h0)
-    widths = [w.shape[1] for w in weights[1:]]
-    threads = max(1, min(pass_threads(rows * sum(widths)), len(seeds)))
-    # Every thread gets, for layers 1..last, a view of its one flat
-    # masked-input buffer of rows times the widest masked layer (a
-    # layer's masked input is used up by its matmul), as eval_logits
-    # views its buffers, and below the last layer a pre-activation
-    # buffer; the last layer writes into its row of the block. All are
-    # allocated on this thread (per-thread malloc arenas would raise peak
-    # memory).
-    buffers = [
-        [
-            (w, b, masked[: rows * w.shape[1]].reshape(rows, w.shape[1]),
-             np.empty((rows, w.shape[0])) if l < last else None)
-            for l, (w, b) in enumerate(zip(weights[1:], biases[1:]), start=1)
-        ]
-        for masked in (np.empty(rows * max(widths)) for _ in range(threads))
-    ]
+    pass start + i, forward_into from layer 1 on layer 0's post-ReLU
+    output h0, on up to pass_threads(...) threads, and yield the pair."""
+    dropout = model.dropout_rate > 0.0
+    threads = max(1, min(pass_threads(len(h0) * sum(model.layer_dims[1:-1])), len(seeds)))
+    # One two_buffers trace per thread, whose logits are each pass's row
+    # of the block. All are allocated on this thread (per-thread malloc
+    # arenas would raise peak memory).
+    traces = [ForwardTrace.two_buffers(model, h0, None, dropout) for _ in range(threads)]
     # Threads take passes one at a time, as (row, pass) pairs, so one
     # thread the OS holds back delays a block by one pass, not by a fixed
     # share of them. A deque's popleft is atomic.
@@ -456,7 +451,7 @@ def _run_passes(h0, weights, biases, dropout_rate, seeds, blocks):
     # numpy's floating-point error state is per thread
     errstate = np.geterr()
 
-    def run(layers, block):
+    def run(trace, block):
         # numpy calls only: bench/spans.py times nn.softmax and derive_seed
         # on one open-span stack, which no other thread may touch
         with np.errstate(**errstate):
@@ -465,30 +460,16 @@ def _run_passes(h0, weights, biases, dropout_rate, seeds, blocks):
                     i, t = todo.popleft()
                 except IndexError:
                     return
-                rng = np.random.default_rng(seeds[t]) if dropout_active else None
-                a = h0
-                for w, b, masked, z in layers:
-                    if dropout_active:
-                        # h * (r < keep) * (1/keep) equals forward's
-                        # h * ((r < keep) / keep): the mask is exactly 0
-                        # or 1/keep
-                        rng.random(out=masked)
-                        np.less(masked, keep, out=masked)
-                        a = np.multiply(a, masked, out=masked)
-                        a *= scale
-                    out = block[i] if z is None else z
-                    np.matmul(a, w.T, out=out)
-                    out += b
-                    if z is not None:
-                        np.maximum(out, 0.0, out=out)
-                    a = out
+                trace.pre_activations[-1] = block[i]
+                rng = np.random.default_rng(seeds[t]) if dropout else None
+                forward_into(model, trace, rng, start=1)
 
     with (ThreadPoolExecutor(max_workers=threads - 1) if threads > 1
           else contextlib.nullcontext()) as pool:
         for block, start in blocks:
             todo.extend(enumerate(range(start, start + len(block))))
-            futures = [pool.submit(run, layers, block) for layers in buffers[1:]]
-            run(buffers[0], block)
+            futures = [pool.submit(run, trace, block) for trace in traces[1:]]
+            run(traces[0], block)
             for future in futures:
                 future.result()
             yield block, start

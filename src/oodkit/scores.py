@@ -13,7 +13,8 @@ import numpy as np
 
 from .datasynth import write_csv
 from .nn import (
-    MlpModel, forward, mc_dropout_blocks, one_blas_thread, row_sums, softmax,
+    MlpModel, eval_trace, forward, forward_into, mc_dropout_blocks, one_blas_thread,
+    row_sums, softmax,
 )
 from .seeding import STREAM_MC, derive_seed
 
@@ -248,7 +249,8 @@ def fit_mahalanobis(
         raise ValueError("labels length does not match features")
     if shrinkage is not None and shrinkage < 0:
         raise ValueError(f"shrinkage must be >= 0, got {shrinkage}")
-    classes = np.unique(y)
+    ordered = np.sort(y)  # np.unique(y) would import numpy.ma
+    classes = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     d = x.shape[1]
     means = np.zeros((classes.size, d))
     pooled = np.zeros((d, d))
@@ -313,8 +315,9 @@ def mahalanobis_score(detector: MahalanobisDetector, rows) -> np.ndarray:
 
 
 def penultimate_features(model: MlpModel, inputs) -> np.ndarray:
-    """Eval-mode input to the final linear layer."""
-    _, trace = forward(model, inputs, mode="eval")
+    """Eval-mode input to the final linear layer, from an nn.eval_trace pass."""
+    trace = eval_trace(model, inputs)
+    forward_into(model, trace, None)
     return trace.penultimate_features
 
 

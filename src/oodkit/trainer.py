@@ -29,6 +29,7 @@ from .nn import (
     Gradients,
     MlpModel,
     backward_into,
+    eval_trace,
     forward,  # noqa: F401  (kept bound: bench/test_bench.py checks tracing wraps it)
     forward_into,
     init_mlp,
@@ -267,15 +268,15 @@ def _predictive(
     """predictive_samples over VAL_MC_PASSES on split, without the
     per-pass entropies that validation never reads, except that an eval
     pass runs in buffers kept for the split: traces is the caller's list
-    for split, empty until the first eval pass appends its trace, which
-    later ones rerun in. Allocated anew, the outlier split's 0.5 MB arrays
+    for split, empty until the first eval pass appends its eval_trace,
+    which later ones rerun in. Allocated anew, the outlier split's arrays
     made the allocator return and refault about 2 MB per epoch in some
     processes."""
     if uses_mc(model, VAL_MC_PASSES):
         return predictive_samples(model, split.features, VAL_MC_PASSES, seed,
                                   pass_entropy=False)
     if not traces:
-        traces.append(ForwardTrace.allocate(model, split.features, False))
+        traces.append(eval_trace(model, split.features))
     return PredictiveSamples(softmax(forward_into(model, traces[0], None))[None],
                              pass_entropy=False)
 
@@ -340,18 +341,25 @@ def _forks_validation_worker(model: MlpModel) -> bool:
 VALIDATION_WORKERS = 2
 
 
-def _init_validation_worker(errstate: dict) -> None:
+# A validation worker's copy of its train call's model, of the flat
+# vector the model's parameters view, and of val and ood, set at the fork
+_worker_call: tuple = ()
+
+
+def _init_validation_worker(errstate: dict, *call) -> None:
     # an interrupt is the trainer's to handle; it then stops this worker
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     np.seterr(**errstate)
+    global _worker_call
+    _worker_call = call
 
 
-def _score_epoch_task(snapshot: np.ndarray, layer_dims: list[int], dropout_rate: float,
-                      val: DatasetSplit, ood: DatasetSplit, mc_seed: int) -> tuple:
+def _score_epoch_task(snapshot: np.ndarray, mc_seed: int) -> tuple:
     """_score_epoch on the model whose flat parameters are snapshot, in a
     validation worker. Non-finite parameters raise as the scores are read,
     and a wrapper installed before the fork runs here."""
-    model = MlpModel(layer_dims, *_layer_views(snapshot, layer_dims), dropout_rate)
+    model, flat, val, ood = _worker_call
+    flat[:] = snapshot
     return _score_epoch(model, val, ood, mc_seed, ([], []))
 
 
@@ -396,8 +404,9 @@ class _Validation:
             workers = min(VALIDATION_WORKERS, parallel_cpus())
             # the fork context starts every worker at the first submit,
             # before the pool starts any thread
-            self.pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                            _init_validation_worker, (np.geterr(),))
+            self.pool = ProcessPoolExecutor(
+                workers, multiprocessing.get_context("fork"), _init_validation_worker,
+                (np.geterr(), model, flat, val, ood_split))
             self.depth = workers + 1
 
     def end_epoch(self, epoch: int, train_loss: float, terms: dict[str, float]) -> None:
@@ -409,9 +418,7 @@ class _Validation:
                                        mc_seed, self.traces)
         else:
             future = _from_worker("a validation worker", self.pool.submit,
-                                  _score_epoch_task, snapshot, self.model.layer_dims,
-                                  self.model.dropout_rate, self.val, self.ood_split,
-                                  mc_seed)
+                                  _score_epoch_task, snapshot, mc_seed)
         self.unresolved.append((epoch, snapshot, future, train_loss, terms))
         self.resolve(self.depth)
 

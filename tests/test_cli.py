@@ -149,6 +149,28 @@ def test_manifest_hashes_match_files(pipeline, tmp_path):
     assert manifest["config"]["scores"] == "confidence,entropy,mutual_information"
 
 
+def test_eval_and_corrupt_eval_hash_each_output_once(pipeline, tmp_path, monkeypatch):
+    hashed = []
+    original = oodkit.cli._sha256
+
+    def counting(path):
+        hashed.append(path.name)
+        return original(path)
+
+    monkeypatch.setattr(oodkit.cli, "_sha256", counting)
+    out = tmp_path / "eval"
+    assert run_eval(pipeline, out) == 0
+    listed = read_json(out / "manifest.json")["outputs"]
+    assert sorted(hashed) == sorted(listed)
+    # manifest.json lists what results.json embeds, plus results.json
+    embedded = read_json(out / "results.json")["manifest"]["outputs"]
+    assert listed == {**embedded, "results.json": listed["results.json"]}
+    hashed.clear()
+    assert main(["corrupt-eval", "--model", str(pipeline["model"]),
+                 "--data", str(pipeline["data"]), "--out", str(tmp_path / "c")]) == 0
+    assert hashed == ["corruption_report.json"]
+
+
 def test_eval_rerun_is_byte_identical(pipeline, tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -232,7 +254,7 @@ def test_eval_does_each_piece_of_work_once(pipeline, tmp_path, monkeypatch):
 
 def test_dropout_free_eval_forwards_each_split_once(pipeline, tmp_path, monkeypatch):
     rows = []
-    for module, name in ((oodkit.scores, "forward"), (oodkit.metrics, "forward"),
+    for module, name in ((oodkit.scores, "forward"), (oodkit.scores, "eval_trace"),
                          (oodkit.metrics, "eval_logits")):
         original = getattr(module, name)
 

@@ -20,6 +20,7 @@ import oodkit.nn as nn_mod
 from oodkit.nn import (
     BLAS_THREAD_SYMBOLS,
     DivergenceError,
+    ForwardTrace,
     MlpModel,
     ModelFileError,
     OptimizerState,
@@ -27,6 +28,7 @@ from oodkit.nn import (
     blas_threads,
     eval_logits,
     forward,
+    forward_into,
     init_mlp,
     load_model,
     mc_dropout_blocks,
@@ -530,6 +532,50 @@ def test_eval_logits_equal_the_eval_forward(hidden, rows, dropout, seed):
     expected, _ = forward(model, x, "eval")
     assert logits.shape == expected.shape
     assert logits.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    size=st.integers(1, 64),
+    # keep = 1 - dropout_rate, from every rate a model accepts
+    rate=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_both_mask_forms_hold_the_same_bits(data, size, rate):
+    # ±0.0, subnormals, ±inf and NaNs of any payload; tobytes compares
+    # NaNs by their bits
+    h = data.draw(hnp.arrays(np.float64, size, elements=st.floats(allow_subnormal=True)))
+    m = data.draw(hnp.arrays(np.float64, size, elements=st.sampled_from([0.0, 1.0])))
+    keep = 1.0 - rate
+    r = np.random.default_rng(size).random(size)
+    assert ((r < keep) * (1.0 / keep)).tobytes() == ((r < keep) / keep).tobytes()
+    s = 1.0 / keep
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, h * s
+        assert ((h * m) * s).tobytes() == (h * (m * s)).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hidden=st.sampled_from([(8,), (8, 8), (8, 16, 8), (16, 8, 16)]),
+    rows=st.integers(1, 300),
+    dropout=st.sampled_from([0.0, 0.2, 0.7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_kernel_on_two_buffers_is_the_train_forward(hidden, rows, dropout, seed):
+    # from layer 0 on the inputs, and from layer 1 on layer 0's output,
+    # which it leaves as it found it
+    model = init_mlp([2, *hidden, 3], dropout_rate=dropout, seed=seed % 1000)
+    x = np.random.default_rng(seed).normal(scale=3.0, size=(rows, 2))
+    expected, _ = forward(model, x, "train", seed)
+    h0 = np.maximum(x @ model.weights[0].T + model.biases[0], 0.0)
+    before = h0.tobytes()
+    for start, inputs in ((0, x), (1, h0)):
+        trace = ForwardTrace.two_buffers(model, inputs, np.empty((rows, 3)), dropout > 0)
+        rng = np.random.default_rng(seed) if dropout > 0 else None
+        logits = forward_into(model, trace, rng, start=start)
+        assert logits is trace.pre_activations[-1]
+        assert logits.tobytes() == expected.tobytes(), start
+    assert h0.tobytes() == before
 
 
 def test_eval_logits_checks_its_inputs():

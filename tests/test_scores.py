@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,6 +31,7 @@ from oodkit.scores import (
 )
 from oodkit.seeding import STREAM_MC, derive_seed
 from oodkit.trainer import score_populations
+import oodkit.scores as scores_mod
 import oodkit.trainer as trainer_mod
 
 LN3 = float(np.log(3.0))
@@ -172,6 +176,7 @@ def test_direct_scoring_calls_run_on_one_blas_thread(monkeypatch):
 
     monkeypatch.setattr(scores_mod, "mc_dropout_blocks", spy(scores_mod.mc_dropout_blocks))
     monkeypatch.setattr(scores_mod, "forward", spy(scores_mod.forward))
+    monkeypatch.setattr(scores_mod, "forward_into", spy(scores_mod.forward_into))
     for name in ("fit_mahalanobis", "penultimate_features", "mahalanobis_score"):
         monkeypatch.setattr(trainer_mod, name, spy(getattr(trainer_mod, name)))
     dropout, plain = init_mlp([2, 8, 3], 0.3, seed=0), init_mlp([2, 8, 3], seed=0)
@@ -190,7 +195,7 @@ def test_direct_scoring_calls_run_on_one_blas_thread(monkeypatch):
         assert blas_threads() == 2
     finally:
         set_blas_threads(before)
-    features = [("penultimate_features", 1), ("forward", 1)]
+    features = [("penultimate_features", 1), ("forward_into", 1)]
     mahalanobis = features + [("fit_mahalanobis", 1)]
     mahalanobis += (features + [("mahalanobis_score", 1)]) * 2
     assert seen == ([("mc_dropout_blocks", 1)] * 2 + [("forward", 1), "score_populations"]
@@ -581,6 +586,48 @@ def test_penultimate_features_match_manual_forward():
         h = np.maximum(h @ w.T + b, 0.0)
     np.testing.assert_array_equal(feats, h)
     assert feats.shape == (8, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hidden=st.sampled_from([(), (8,), (8, 16), (16, 8, 4)]),
+    rows=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_penultimate_features_are_the_eval_forward_bytes(hidden, rows, seed):
+    model = init_mlp([2, *hidden, 3], dropout_rate=0.3, seed=seed % 1000)
+    x = np.random.default_rng(seed).normal(scale=3.0, size=(rows, 2))
+    feats = penultimate_features(model, x)
+    expected = forward(model, x, "eval")[1].penultimate_features
+    assert feats.shape == expected.shape and feats.tobytes() == expected.tobytes()
+
+
+def test_fitting_mahalanobis_imports_no_numpy_ma():
+    # numpy's unique imports numpy.ma, which costs an eval process about
+    # 10 ms and 0.7 MB
+    code = ("import sys, numpy as np\n"
+            "from oodkit import fit_mahalanobis, init_mlp, penultimate_features\n"
+            "x = np.random.default_rng(0).normal(size=(30, 2))\n"
+            "features = penultimate_features(init_mlp([2, 8, 3]), x)\n"
+            "fit_mahalanobis(features, np.arange(30) % 3)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(scores_mod.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
+
+
+@given(labels=hnp.arrays(np.int64, st.integers(2, 40), elements=st.integers(-3, 3)))
+def test_mahalanobis_classes_are_the_sorted_distinct_labels(labels):
+    x = np.random.default_rng(len(labels)).normal(size=(len(labels), 2))
+    classes = np.unique(labels)
+    if np.min([np.sum(labels == c) for c in classes]) < 2:
+        with pytest.raises(ValueError, match="2 rows per class"):
+            fit_mahalanobis(x, labels, shrinkage=1.0)
+        return
+    detector = fit_mahalanobis(x, labels, shrinkage=1.0)
+    means = np.stack([x[labels == c].mean(axis=0) for c in classes])
+    assert detector.class_means.tobytes() == means.tobytes()
 
 
 # ---------------------------------------------------------------------------

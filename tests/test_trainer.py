@@ -15,7 +15,9 @@ from oodkit import objectives
 from oodkit.datasynth import CORRUPTION_KINDS, SEVERITIES
 from oodkit.metrics import accuracy, classify
 from oodkit.datasynth import DatasetSplit
-from oodkit.nn import OptimizerState, backward, forward, init_mlp, sgd_step, softmax
+from oodkit.nn import (
+    OptimizerState, backward, eval_trace, forward, init_mlp, sgd_step, softmax,
+)
 from oodkit.scores import (
     entropy_score,
     fit_mahalanobis,
@@ -625,19 +627,16 @@ def test_train_and_evaluate_run_blas_on_one_thread(
 
 
 def test_eval_pass_validation_allocates_its_buffers_once(tiny_benchmark, monkeypatch):
-    # the traces allocated on a validation split's own rows: the batch
-    # steps' traces hold copies of the batches
+    # the eval traces allocated on a validation split's own rows
     roles = {id(tiny_benchmark[r].features): r for r in ("val", "train_ood")}
     allocated = []
 
-    class Counting(trainer_mod.ForwardTrace):
-        @classmethod
-        def allocate(cls, model, inputs, dropout):
-            if id(inputs) in roles:
-                allocated.append(roles[id(inputs)])
-            return super().allocate(model, inputs, dropout)
+    def counting(model, inputs):
+        if id(inputs) in roles:
+            allocated.append(roles[id(inputs)])
+        return eval_trace(model, inputs)
 
-    monkeypatch.setattr(trainer_mod, "ForwardTrace", Counting)
+    monkeypatch.setattr(trainer_mod, "eval_trace", counting)
     cfg = TrainConfig(objective="ce", epochs=3)
     for _ in range(2):
         train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
@@ -906,15 +905,20 @@ def test_the_worker_passes_messages_larger_than_the_pipe_buffer(
     assert [r.epoch for r in history.records] == [1, 2, 3]
 
 
-def test_the_worker_task_scores_as_the_inline_path(tiny_benchmark):
+def test_the_worker_task_scores_as_the_inline_path(tiny_benchmark, monkeypatch):
     model = init_mlp([2, 8, 3], dropout_rate=0.3, seed=0)
     val, ood = tiny_benchmark["val"], tiny_benchmark["train_ood"]
+    # what _init_validation_worker keeps for a worker: a model whose
+    # parameters view one flat vector, and the splits
+    flat = np.zeros(sum(a.size for a in model.weights + model.biases))
+    views = trainer_mod._layer_views(flat, model.layer_dims)
+    worker_model = trainer_mod.MlpModel(model.layer_dims, *views, model.dropout_rate)
+    monkeypatch.setattr(trainer_mod, "_worker_call", (worker_model, flat, val, ood))
     for epoch in (4, 5):
         model.weights[0] *= 1.5
         snapshot = np.concatenate([a.ravel() for a in model.weights + model.biases])
         mc_seed = derive_seed(7, STREAM_VAL_MC, epoch)
-        scores = trainer_mod._score_epoch_task(snapshot, model.layer_dims,
-                                               model.dropout_rate, val, ood, mc_seed)
+        scores = trainer_mod._score_epoch_task(snapshot, mc_seed)
         expected = trainer_mod._score_epoch(model, val, ood, mc_seed, ([], []))
         assert np.array(scores).tobytes() == np.array(expected).tobytes()
 
