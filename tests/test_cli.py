@@ -484,6 +484,28 @@ def test_corrupt_model_file(pipeline, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("layer_dims", [[2.9, 4.2, 3.7], [2, True, 3], [2.0, 4, 3]],
+                         ids=["fractional", "bool", "integral-float"])
+@pytest.mark.parametrize("command", ["eval", "corrupt-eval"])
+def test_model_file_with_non_integer_layer_sizes_exits_3(pipeline, tmp_path, capsys,
+                                                         command, layer_dims):
+    # int() used to truncate each size, so these loaded as [2, 4, 3] and
+    # [2, 1, 3] models whose weights matched, and both commands exited 0
+    path = tmp_path / "model.json"
+    save_model(init_mlp([int(d) for d in layer_dims], seed=0), path)
+    doc = json.loads(path.read_text())
+    doc["layer_dims"] = layer_dims
+    write_json(path, doc)
+    out = tmp_path / "out"
+    code = main([command, "--model", str(path), "--data", str(pipeline["data"]),
+                 "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "layer_dims must be" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_divergence_exit_code(pipeline, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {

@@ -32,7 +32,6 @@ from oodkit.nn import (
     init_mlp,
     load_model,
     mc_dropout_blocks,
-    mc_dropout_probs,
     one_blas_thread,
     pass_threads,
     row_sums,
@@ -43,6 +42,7 @@ from oodkit.nn import (
 )
 
 from _gradcheck import rel_error
+from _reference import mc_dropout_probs
 
 
 def small_model(dropout: float = 0.0, seed: int = 3) -> MlpModel:
@@ -91,6 +91,14 @@ def test_init_rejects_bad_dims():
         init_mlp([3], seed=0)
     with pytest.raises(ValueError):
         init_mlp([2, 0, 3], seed=0)
+    # int() used to truncate a fractional size and read True as 1
+    m = small_model()
+    for dims in ([2, 5.5, 4, 3], [2, 5, 4.0, 3], [2, True, 4, 3]):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            init_mlp(dims, seed=0)
+        with pytest.raises(ValueError, match="integers >= 1"):
+            MlpModel(dims, m.weights, m.biases)
+    assert init_mlp(np.array([2, 5, 4, 3]), seed=3).layer_dims == m.layer_dims
 
 
 def test_model_validation():

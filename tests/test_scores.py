@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oodkit.datasynth import DatasetSplit, make_default_benchmark
-from oodkit.nn import forward, init_mlp, mc_dropout_probs, softmax
+from oodkit.nn import forward, init_mlp, softmax
 from oodkit.scores import (
     MC_BLOCK_PASSES,
     MahalanobisDetector,
@@ -33,6 +33,8 @@ from oodkit.seeding import STREAM_MC, derive_seed
 from oodkit.trainer import score_populations
 import oodkit.scores as scores_mod
 import oodkit.trainer as trainer_mod
+
+from _reference import mc_dropout_probs
 
 LN3 = float(np.log(3.0))
 

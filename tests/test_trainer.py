@@ -496,6 +496,17 @@ def test_sweep_selection_and_ordering(tiny_benchmark, monkeypatch):
     assert sum(r.selected for r in rows) == 1
 
 
+def test_sweep_winner_leads_the_leaderboard_on_an_auc_tie(tiny_benchmark, monkeypatch):
+    # entropy AUCs of exactly 100.0 happen on this benchmark; the tie goes
+    # to the lower grid index, in the selection and in the row order alike
+    table = {0.0: (99.0, 100.0, "model 0"), 1.0: (99.5, 100.0, "model 1")}
+    monkeypatch.setattr(trainer_mod, "_sweep_task", lambda cfg, benchmark: table[cfg.lam])
+    best, best_model, rows = sweep(TrainConfig(objective="ce_cosine", epochs=1),
+                                   [{"lam": 0.0}, {"lam": 1.0}], tiny_benchmark)
+    assert best.lam == 0.0 and best_model == "model 0"
+    assert [(r.index, r.selected) for r in rows] == [(0, True), (1, False)]
+
+
 def test_sweep_all_diverged(tiny_benchmark, monkeypatch):
     monkeypatch.setattr(
         trainer_mod, "_sweep_task", lambda cfg, benchmark: None
