@@ -10,12 +10,15 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import inspect
 import json
 import os
+import shutil
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,7 +39,6 @@ from .nn import MlpModel, ModelFileError, load_model, one_blas_thread, save_mode
 from .scores import SOFTMAX_SCORES, write_score_dump
 from .seeding import STREAM_INIT, derive_seed
 from .trainer import (
-    TRAIN_SPLITS,
     TrainConfig,
     TrainingDiverged,
     WorkerExited,
@@ -48,6 +50,7 @@ from .trainer import (
     score_populations,
     sweep,
     train,
+    train_splits,
 )
 
 CONFIG_VERSION = 1
@@ -234,6 +237,26 @@ def _resolve_out(arg_out: str | None, command: str) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _staged(out_dir: Path):
+    """A temporary directory beside out_dir for a command's files. Once
+    the body succeeds, out_dir is made and the files move into it; the
+    temporary directory is removed however the body ends."""
+    anchor = next(p for p in out_dir.parents if p.is_dir())
+    stage = Path(tempfile.mkdtemp(prefix=".oodkit-", dir=anchor))
+    try:
+        yield stage
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path in sorted(stage.iterdir()):
+            os.replace(path, out_dir / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def _too_large(flag: str, value: int) -> ConfigError:
+    return ConfigError(f"{flag} {value} is too large: its arrays cannot be allocated")
+
+
 # the least value of every numeric flag, checked before any command runs
 FLAG_MINIMUMS = {"--mc-passes": 1, "--histogram-bins": 1, "--grid-resolution": 2,
                  "--workers": 1, "--seed": 0}
@@ -281,7 +304,7 @@ def cmd_gen_data(args, out_dir: Path) -> int:
 def cmd_train(args, out_dir: Path) -> int:
     doc = load_config(args.config)
     config = train_config_from(doc, seed_override=args.seed)
-    benchmark = _load_benchmark_dir(Path(args.data), TRAIN_SPLITS)
+    benchmark = _load_benchmark_dir(Path(args.data), train_splits(config))
     model = init_model(config, benchmark["train"].features.shape[1])
     try:
         trained, history = train(config, benchmark, model)
@@ -331,27 +354,6 @@ def cmd_eval(args, out_dir: Path) -> int:
         # a train split the Mahalanobis fit cannot use, or overflowing scores
         raise DataError(f"cannot evaluate {args.model} on {data_dir}: {exc}") from exc
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-
-    # --scores narrows the exported kinds, never the results JSON
-    exported = {
-        kind: pair for kind, pair in pops.items()
-        if kind in score_kinds or kind == "mahalanobis"
-    }
-    for kind, (s_id, s_ood) in sorted(exported.items()):
-        name = f"scores_{kind}.csv"
-        write_score_dump(out_dir / name, s_id, s_ood)
-        outputs.append(name)
-    export_histograms(exported, args.histogram_bins, out_dir / "histograms.csv")
-    outputs.append("histograms.csv")
-
-    if model.input_dim == 2:
-        bounds = grid_bounds(np.concatenate([test_id.features, test_ood.features]))
-        paths = {q: out_dir / f"grid_{q}.csv" for q in GRID_QUANTITIES}
-        export_decision_grid(model, bounds, args.grid_resolution, paths)
-        outputs.extend(p.name for p in paths.values())
-
     results = {
         "accuracy": round(report.id_accuracy, 2),
         "auc": {kind: round(auc, 2) for kind, auc in report.auc.items()},
@@ -366,8 +368,33 @@ def cmd_eval(args, out_dir: Path) -> int:
         "grid_resolution": args.grid_resolution,
         "histogram_bins": args.histogram_bins,
     }
-    write_results("eval", config, {"eval": args.seed}, out_dir, outputs,
-                  "results.json", results)
+    # --scores narrows the exported kinds, never the results JSON
+    exported = {
+        kind: pair for kind, pair in pops.items()
+        if kind in score_kinds or kind == "mahalanobis"
+    }
+    with _staged(out_dir) as stage:
+        outputs = []
+        for kind, (s_id, s_ood) in sorted(exported.items()):
+            name = f"scores_{kind}.csv"
+            write_score_dump(stage / name, s_id, s_ood)
+            outputs.append(name)
+        try:
+            export_histograms(exported, args.histogram_bins, stage / "histograms.csv")
+        except MemoryError:
+            raise _too_large("--histogram-bins", args.histogram_bins) from None
+        outputs.append("histograms.csv")
+
+        if model.input_dim == 2:
+            bounds = grid_bounds(np.concatenate([test_id.features, test_ood.features]))
+            paths = {q: stage / f"grid_{q}.csv" for q in GRID_QUANTITIES}
+            try:
+                export_decision_grid(model, bounds, args.grid_resolution, paths)
+            except MemoryError:
+                raise _too_large("--grid-resolution", args.grid_resolution) from None
+            outputs.extend(p.name for p in paths.values())
+        write_results("eval", config, {"eval": args.seed}, stage, outputs,
+                      "results.json", results)
 
     print(f"accuracy: {results['accuracy']:.2f}%")
     for kind, val in results["auc"].items():
@@ -423,10 +450,12 @@ def cmd_sweep(args, out_dir: Path) -> int:
         raise ConfigError("grid file must contain a 'grid' list of objects")
 
     try:
-        grid_configs(base_config, grid)
+        configs = grid_configs(base_config, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    benchmark = _load_benchmark_dir(Path(args.data), TRAIN_SPLITS)
+    # a grid point may change the objective, and with it the splits
+    roles = dict.fromkeys(role for cfg in configs for role in train_splits(cfg))
+    benchmark = _load_benchmark_dir(Path(args.data), tuple(roles))
     try:
         best_config, best_model, rows = sweep(
             base_config, grid, benchmark, workers=args.workers

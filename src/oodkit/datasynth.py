@@ -17,7 +17,7 @@ import numpy as np
 from .seeding import STREAM_DATA, derive_rng, derive_seed
 
 ID_ROLES = ("train", "val", "test_id")
-OOD_ROLES = ("train_ood", "test_ood")
+OOD_ROLES = ("train_ood", "val_ood", "test_ood")
 ROLES = ID_ROLES + OOD_ROLES
 
 CORRUPTION_KINDS = ("gaussian_noise", "uniform_noise", "translate", "scale", "rotate")
@@ -136,15 +136,18 @@ def make_default_benchmark(
     n_per_ood_component: int = 500,
     split_fractions: tuple[float, float, float] = (0.7, 0.15, 0.15),
 ) -> dict[str, DatasetSplit]:
-    """Build the five-way benchmark dict.
+    """Build the six-way benchmark dict.
 
     In-distribution: 3 Gaussians on an equilateral triangle (class-
     stratified 70/15/15 train/val/test_id split). Out-of-distribution:
     4 Gaussians on a square rotated 45 degrees relative to the triangle,
-    cut 50/50 into train_ood/test_ood. The default outlier radius sits
-    inside the triangle, placing the outlier mass in the ambiguous
-    region between the classes rather than beyond them; both radii are
-    free parameters.
+    cut 50/50 into a training half and test_ood. The training half's
+    last len(val) rows are val_ood, the held-out outliers validation
+    scores, and the rest are train_ood; a half too small to keep at
+    least one train_ood row raises ValueError. The default outlier
+    radius sits inside the triangle, placing the outlier mass in the
+    ambiguous region between the classes rather than beyond them; both
+    radii are free parameters.
     """
     for name, value in (("seed", seed), ("n_per_class", n_per_class),
                         ("n_per_ood_component", n_per_ood_component)):
@@ -199,12 +202,17 @@ def make_default_benchmark(
     n_ood = len(ood_split)
     ood_idx = rng.permutation(n_ood)
     half = n_ood // 2
-    benchmark["train_ood"] = DatasetSplit(
-        ood_split.features[ood_idx[:half]], None, "train_ood"
-    )
-    benchmark["test_ood"] = DatasetSplit(
-        ood_split.features[ood_idx[half:]], None, "test_ood"
-    )
+    n_val_ood = len(benchmark["val"])
+    if half <= n_val_ood:
+        raise ValueError(
+            f"the outliers' training half holds {half} rows, too few for "
+            f"{n_val_ood} val_ood rows (as many as val) plus a train_ood row"
+        )
+    # test_ood keeps the second half whatever the carving of the first
+    for role, rows in (("train_ood", ood_idx[:half - n_val_ood]),
+                       ("val_ood", ood_idx[half - n_val_ood:half]),
+                       ("test_ood", ood_idx[half:])):
+        benchmark[role] = DatasetSplit(ood_split.features[rows], None, role)
     return benchmark
 
 

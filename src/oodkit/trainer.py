@@ -240,9 +240,11 @@ def init_model(config: TrainConfig, input_dim: int) -> MlpModel:
     )
 
 
-# The splits training reads: validation measures OOD separation on
-# train_ood for every objective, and OOD objectives also train on it.
-TRAIN_SPLITS = ("train", "val", "train_ood")
+def train_splits(config: TrainConfig) -> tuple[str, ...]:
+    """The splits train reads under config: every objective validates on
+    val against the held-out val_ood outliers, and only OOD objectives
+    train on train_ood, which validation never reads."""
+    return ("train", "val", "val_ood") + (("train_ood",) if config.needs_ood() else ())
 
 
 def eval_splits(with_mahalanobis: bool) -> tuple[str, ...]:
@@ -299,20 +301,21 @@ def _ood_seed(model: MlpModel, passes: int, mc_seed: int) -> int:
 
 
 def _ood_entropy(
-    model: MlpModel, ood: DatasetSplit, mc_seed: int, traces: list[ForwardTrace]
+    model: MlpModel, val_ood: DatasetSplit, mc_seed: int, traces: list[ForwardTrace]
 ) -> np.ndarray:
-    """The validation outlier split's entropy scores, for the epoch whose
-    val split is scored with mc_seed. traces is _predictive's, for ood."""
+    """The val_ood split's entropy scores, for the epoch whose val split
+    is scored with mc_seed. traces is _predictive's, for val_ood."""
     seed = _ood_seed(model, VAL_MC_PASSES, mc_seed)
-    return entropy_score(_predictive(model, ood, seed, traces))
+    return entropy_score(_predictive(model, val_ood, seed, traces))
 
 
-def _score_epoch(model: MlpModel, val: DatasetSplit, ood: DatasetSplit, mc_seed: int,
+def _score_epoch(model: MlpModel, val: DatasetSplit, val_ood: DatasetSplit, mc_seed: int,
                  traces: tuple[list, list]) -> tuple[float, float]:
-    """An epoch's val accuracy and entropy AUC against the outlier split
-    ood, on the passes mc_seed seeds; traces holds _predictive's lists."""
+    """An epoch's val accuracy and entropy AUC against the held-out
+    outliers val_ood, on the passes mc_seed seeds; traces holds
+    _predictive's lists."""
     val_acc, val_entropy = _validation_metrics(model, val, mc_seed, traces[0])
-    ood_entropy = _ood_entropy(model, ood, mc_seed, traces[1])
+    ood_entropy = _ood_entropy(model, val_ood, mc_seed, traces[1])
     return val_acc, 100.0 * auc_roc(val_entropy, ood_entropy, SCORE_ORIENTATION["entropy"])
 
 
@@ -342,7 +345,7 @@ VALIDATION_WORKERS = 2
 
 
 # A validation worker's copy of its train call's model, of the flat
-# vector the model's parameters view, and of val and ood, set at the fork
+# vector the model's parameters view, and of val and val_ood, set at the fork
 _worker_call: tuple = ()
 
 
@@ -358,9 +361,9 @@ def _score_epoch_task(snapshot: np.ndarray, mc_seed: int) -> tuple:
     """_score_epoch on the model whose flat parameters are snapshot, in a
     validation worker. Non-finite parameters raise as the scores are read,
     and a wrapper installed before the fork runs here."""
-    model, flat, val, ood = _worker_call
+    model, flat, val, val_ood = _worker_call
     flat[:] = snapshot
-    return _score_epoch(model, val, ood, mc_seed, ([], []))
+    return _score_epoch(model, val, val_ood, mc_seed, ([], []))
 
 
 class WorkerExited(RuntimeError):
@@ -387,9 +390,9 @@ class _Validation:
     """
 
     def __init__(self, config: TrainConfig, model: MlpModel, flat: np.ndarray,
-                 val: DatasetSplit, ood_split: DatasetSplit, history: TrainHistory):
+                 val: DatasetSplit, val_ood: DatasetSplit, history: TrainHistory):
         self.config, self.model, self.flat, self.history = config, model, flat, history
-        self.val, self.ood_split = val, ood_split
+        self.val, self.val_ood = val, val_ood
         # (epoch, snapshot, future, train_loss, terms), oldest first
         self.unresolved: deque[tuple] = deque()
         self.traces = ([], [])
@@ -406,7 +409,7 @@ class _Validation:
             # before the pool starts any thread
             self.pool = ProcessPoolExecutor(
                 workers, multiprocessing.get_context("fork"), _init_validation_worker,
-                (np.geterr(), model, flat, val, ood_split))
+                (np.geterr(), model, flat, val, val_ood))
             self.depth = workers + 1
 
     def end_epoch(self, epoch: int, train_loss: float, terms: dict[str, float]) -> None:
@@ -414,7 +417,7 @@ class _Validation:
         mc_seed = derive_seed(self.config.seed, STREAM_VAL_MC, epoch)
         if self.pool is None:
             # resolved below, while the model's parameters are the snapshot's
-            future = functools.partial(_score_epoch, self.model, self.val, self.ood_split,
+            future = functools.partial(_score_epoch, self.model, self.val, self.val_ood,
                                        mc_seed, self.traces)
         else:
             future = _from_worker("a validation worker", self.pool.submit,
@@ -501,10 +504,10 @@ def train(
 ) -> tuple[MlpModel, TrainHistory]:
     """Train a copy of `model` under the configured objective.
 
-    benchmark needs the TRAIN_SPLITS: every objective measures OOD
-    separation against "train_ood" in validation (the held-out test_ood
-    split is never touched here), and OOD-consuming objectives also train
-    on it.
+    benchmark needs train_splits(config): every objective measures OOD
+    separation in validation against "val_ood", outliers held out from
+    training, and only OOD-consuming objectives read "train_ood", for
+    their loss alone. test_ood is never touched here.
 
     Every batch step runs in buffers allocated once per call. The model
     being trained keeps its weights and biases as views of one flat
@@ -522,13 +525,14 @@ def train(
     pool is shut down and its workers joined however the call ends; if a
     worker dies, the call raises WorkerExited, a RuntimeError.
     """
-    _require_splits(benchmark, *TRAIN_SPLITS)
-    for role in TRAIN_SPLITS:
+    roles = train_splits(config)
+    _require_splits(benchmark, *roles)
+    for role in roles:
         columns = benchmark[role].features.shape[1]
         if columns != model.input_dim:
             raise ValueError(f"model expects {model.input_dim}-D inputs but the {role} "
                              f"split has {columns} columns")
-    train_split, val_split, ood_split = (benchmark[role] for role in TRAIN_SPLITS)
+    train_split, val_split, val_ood = (benchmark[r] for r in ("train", "val", "val_ood"))
     # a DatasetSplit's features are finite float64 from construction on
     features, labels = train_split.features, train_split.labels
     k = model.num_classes
@@ -545,6 +549,7 @@ def train(
     ood_features = None
     ood_pos = 0
     if config.needs_ood():
+        ood_split = benchmark["train_ood"]
         ood_rng = derive_rng(config.seed, STREAM_OOD_SHUFFLE)
         ood_features = ood_split.features[ood_rng.permutation(len(ood_split))]
 
@@ -575,7 +580,7 @@ def train(
 
     history = TrainHistory()
     dropout_counter = 0
-    validation = _Validation(config, model, flat, val_split, ood_split, history)
+    validation = _Validation(config, model, flat, val_split, val_ood, history)
     try:
         for epoch in range(1, config.epochs + 1):
             perm = shuffle_rng.permutation(n_train)
@@ -891,7 +896,7 @@ def run_experiment(
     with_corruptions: bool = False,
 ) -> tuple[MlpModel, TrainHistory, EvalReport]:
     """Init, train, and evaluate in one deterministic call."""
-    _require_splits(benchmark, *TRAIN_SPLITS, *eval_splits(with_mahalanobis))
+    _require_splits(benchmark, *train_splits(config), *eval_splits(with_mahalanobis))
     model = init_model(config, benchmark["train"].features.shape[1])
     trained, history = train(config, benchmark, model)
     report = evaluate_model(

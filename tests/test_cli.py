@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import oodkit.nn
 import oodkit.scores
 import oodkit.trainer
 from oodkit.cli import OUT_ROOT_ENV, main
-from oodkit.datasynth import DatasetSplit, read_split, write_split
+from oodkit.datasynth import ROLES, DatasetSplit, read_split, write_split
 from oodkit.nn import init_mlp, load_model, save_model
 
 BASE_CONFIG = {
@@ -71,7 +72,8 @@ def run_eval(pipeline, out, extra=()):
 def test_gen_data_writes_all_splits(pipeline):
     data = pipeline["data"]
     expected_rows = {
-        "train": 84, "val": 18, "test_id": 18, "train_ood": 80, "test_ood": 80,
+        "train": 84, "val": 18, "test_id": 18,
+        "train_ood": 62, "val_ood": 18, "test_ood": 80,
     }
     for role, n in expected_rows.items():
         path = data / f"{role}.csv"
@@ -84,6 +86,13 @@ def test_gen_data_writes_all_splits(pipeline):
     assert manifest["command"] == "gen-data"
     assert manifest["seeds"] == {"data": 0}
     assert "created_utc" in manifest
+
+
+def test_the_readme_names_every_split_and_every_gen_data_file(pipeline):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    undocumented = [f"`{role}`" for role in ROLES if f"`{role}`" not in readme]
+    undocumented += [p.name for p in pipeline["data"].iterdir() if p.name not in readme]
+    assert not undocumented
 
 
 def test_train_outputs(pipeline):
@@ -649,6 +658,33 @@ def test_invalid_eval_flags_exit_before_any_work(pipeline, tmp_path, capsys, fla
     assert not out.exists()
 
 
+def test_an_eval_export_too_large_to_allocate_exits_2_and_writes_nothing(
+    pipeline, tmp_path, capsys, monkeypatch
+):
+    # 8 * 1e15 bytes of bin edges exceed the address space, so the
+    # allocation fails at once; the grid's failure is simulated
+    def unallocatable(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(oodkit.cli, "export_decision_grid", unallocatable)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("mine\n")
+    for flag, value in (("--histogram-bins", "1000000000000000"),
+                        ("--grid-resolution", "24")):
+        for out in (tmp_path / "new" / "eval", kept):
+            argv = ["eval", "--model", str(pipeline["model"]), "--data",
+                    str(pipeline["data"]), "--out", str(out), "--histogram-bins", "8",
+                    flag, value]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"config error: {flag} {value} is too large: its arrays cannot be "
+                "allocated\n")
+            # no staged file is left beside --out, and a kept --out is untouched
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+            assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+
+
 def test_train_without_outlier_split_exits_3(pipeline, tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()
@@ -659,8 +695,33 @@ def test_train_without_outlier_split_exits_3(pipeline, tmp_path, capsys):
         "--out", str(tmp_path / "run"),
     ])
     assert code == 3
-    assert "train_ood.csv" in capsys.readouterr().err
+    # a ce run needs the held-out outliers that validation scores
+    assert "val_ood.csv" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_ce_trains_and_sweeps_without_train_ood(pipeline, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("train.csv", "val.csv", "val_ood.csv"):
+        (data / name).write_bytes((pipeline["data"] / name).read_bytes())
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(pipeline["config"]), "--data", str(data),
+                 "--out", str(run)]) == 0
+    for name in ("model.json", "history.json"):
+        assert (run / name).read_bytes() == (pipeline["run"] / name).read_bytes()
+    grid = tmp_path / "grid.json"
+    write_json(grid, {"grid_version": 1, "grid": [{"lr": 0.05}, {"lr": 0.1}]})
+    sweep = ["sweep", "--config", str(pipeline["config"]), "--grid", str(grid),
+             "--data", str(data)]
+    assert main(sweep + ["--out", str(tmp_path / "sweep")]) == 0
+    # a grid point that switches to an OOD objective needs the outliers it trains on
+    write_json(grid, {"grid_version": 1, "grid": [{"lr": 0.05}, {"objective": "ce_cosine"}]})
+    capsys.readouterr()
+    assert main(sweep + ["--out", str(tmp_path / "sweep-ood")]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: data directory {data} is missing splits: train_ood.csv\n")
+    assert not (tmp_path / "sweep-ood").exists()
 
 
 @pytest.mark.parametrize("command,key,value,reason", [
@@ -742,13 +803,14 @@ def test_model_data_dimension_mismatch(pipeline, tmp_path, capsys):
     assert code == 3
     assert "columns" in capsys.readouterr().err
     # train and sweep check every split they read before training starts;
-    # a wide val or train_ood split used to end as a divergence (exit 4)
+    # a wide val or outlier split used to end as a divergence (exit 4)
     # or as numpy's own message
     grid = tmp_path / "grid.json"
     write_json(grid, {"grid_version": 1, "grid": [{"lam": 0.5}, {"lam": 1.0}]})
-    for role in ("val", "train_ood"):
+    for role in ("val", "val_ood", "train_ood"):
         data = data_widening(role)
-        for objective in ("ce", "ce_cosine"):
+        # ce reads no train_ood
+        for objective in ("ce", "ce_cosine")[role == "train_ood":]:
             cfg = tmp_path / f"{objective}.json"
             write_json(cfg, {"config_version": 1,
                              "train": {"objective": objective, "epochs": 1}})
@@ -949,7 +1011,7 @@ def test_negative_seed_exits_2(pipeline, tmp_path, capsys, command, form):
 def test_sweep_on_out_of_range_labels_exits_3(pipeline, tmp_path, capsys, workers):
     data = tmp_path / "data"
     data.mkdir()
-    for name in ("val.csv", "train_ood.csv"):
+    for name in ("val.csv", "val_ood.csv"):
         (data / name).write_bytes((pipeline["data"] / name).read_bytes())
     train = read_split(pipeline["data"] / "train.csv", role="train")
     labels = train.labels.copy()

@@ -1,3 +1,4 @@
+import json
 import tempfile
 import time
 from pathlib import Path
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oodkit.cli import main
 from oodkit.datasynth import (
     CORRUPTION_KINDS,
+    OOD_ROLES,
     CorruptionSpec,
     DatasetSplit,
     GaussianSpec,
@@ -19,10 +22,15 @@ from oodkit.datasynth import (
     sample_mixture,
     write_split,
 )
+from oodkit.seeding import STREAM_DATA, derive_seed
 
 TRIANGLE = [
     4.0 * np.array([np.cos(np.deg2rad(a)), np.sin(np.deg2rad(a))])
     for a in (90.0, 210.0, 330.0)
+]
+SQUARE = [
+    1.5 * np.array([np.cos(np.deg2rad(a)), np.sin(np.deg2rad(a))])
+    for a in (45.0, 135.0, 225.0, 315.0)
 ]
 
 
@@ -99,14 +107,15 @@ def test_sample_mixture_mixed_labelling_rejected():
 
 def test_benchmark_roles_and_counts():
     bench = make_default_benchmark(seed=0)
-    assert set(bench) == {"train", "val", "test_id", "train_ood", "test_ood"}
+    assert set(bench) == {"train", "val", "test_id", "train_ood", "val_ood", "test_ood"}
     assert len(bench["train"]) == 1050
     assert len(bench["val"]) == 225
     assert len(bench["test_id"]) == 225
-    assert len(bench["train_ood"]) == 1000
+    assert len(bench["train_ood"]) == 775
+    assert len(bench["val_ood"]) == 225
     assert len(bench["test_ood"]) == 1000
-    assert bench["train_ood"].labels is None
-    assert bench["test_ood"].labels is None
+    for role in OOD_ROLES:
+        assert bench[role].labels is None
 
 
 def test_benchmark_classes_balanced():
@@ -125,8 +134,48 @@ def test_benchmark_splits_partition_the_pool():
     # certifies disjointness and the total certifies coverage
     assert pooled.shape == (1500, 2)
     assert np.unique(pooled, axis=0).shape[0] == 1500
-    ood = np.concatenate([bench["train_ood"].features, bench["test_ood"].features])
+    ood = np.concatenate([bench[r].features for r in OOD_ROLES])
     assert np.unique(ood, axis=0).shape[0] == 2000
+
+
+@pytest.mark.parametrize("seed,n_per_class,n_per_ood", [(0, 500, 500), (3, 64, 64),
+                                                        (5, 40, 113)])
+def test_outlier_splits_carve_the_outlier_pool(seed, n_per_class, n_per_ood):
+    bench = make_default_benchmark(seed, n_per_class=n_per_class,
+                                   n_per_ood_component=n_per_ood)
+    # the outlier rows as drawn, before any split
+    pool = sample_mixture([GaussianSpec(m, 0.5) for m in SQUARE], n_per_ood,
+                          derive_seed(seed, STREAM_DATA, 1)).features
+    carved = np.concatenate([bench[r].features for r in OOD_ROLES])
+    # continuous draws collide with probability zero: unique rows make the
+    # three splits disjoint, and equal sorted rows make them hold every
+    # outlier row exactly once
+    assert len(carved) == len(pool)
+    assert np.unique(carved, axis=0).shape[0] == len(carved)
+    assert np.array_equal(np.unique(carved, axis=0), np.unique(pool, axis=0))
+    assert len(bench["val_ood"]) == len(bench["val"])
+    assert len(bench["test_ood"]) == len(pool) - len(pool) // 2
+
+
+def test_an_outlier_half_too_small_for_val_ood_is_refused(tmp_path, capsys):
+    # val holds 225 rows at 500 per class; the training half 2 * n_per_ood_component
+    bench = make_default_benchmark(0, n_per_ood_component=113)
+    assert (len(bench["train_ood"]), len(bench["val_ood"])) == (1, 225)
+    for n_per_ood, half in ((112, 224), (50, 100)):
+        with pytest.raises(ValueError, match=f"holds {half} rows, too few for 225 val_ood"):
+            make_default_benchmark(0, n_per_ood_component=n_per_ood)
+    # a half exactly as large as val would leave train_ood empty
+    with pytest.raises(ValueError, match="holds 18 rows, too few for 18 val_ood"):
+        make_default_benchmark(0, n_per_class=40, n_per_ood_component=9)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"config_version": 1,
+                                  "data": {"n_per_ood_component": 112}}))
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: invalid data config: the outliers' training half holds 224 "
+        "rows, too few for 225 val_ood rows (as many as val) plus a train_ood row\n")
+    assert not out.exists()
 
 
 def test_benchmark_class_clusters_sit_on_the_triangle():

@@ -397,6 +397,7 @@ def test_buffered_steps_equal_the_public_functions(
                               rng.integers(0, 3, n_train), "train"),
         "val": DatasetSplit(rng.normal(size=(5, 2)), rng.integers(0, 3, 5), "val"),
         "train_ood": DatasetSplit(3.0 * rng.normal(size=(n_ood, 2)), None, "train_ood"),
+        "val_ood": DatasetSplit(3.0 * rng.normal(size=(5, 2)), None, "val_ood"),
     }
     cfg = dataclasses.replace(default_config(objective, seed), epochs=1,
                               batch_size=batch_size)
@@ -639,7 +640,7 @@ def test_train_and_evaluate_run_blas_on_one_thread(
 
 def test_eval_pass_validation_allocates_its_buffers_once(tiny_benchmark, monkeypatch):
     # the eval traces allocated on a validation split's own rows
-    roles = {id(tiny_benchmark[r].features): r for r in ("val", "train_ood")}
+    roles = {id(tiny_benchmark[r].features): r for r in ("val", "val_ood")}
     allocated = []
 
     def counting(model, inputs):
@@ -651,9 +652,9 @@ def test_eval_pass_validation_allocates_its_buffers_once(tiny_benchmark, monkeyp
     cfg = TrainConfig(objective="ce", epochs=3)
     for _ in range(2):
         train(cfg, tiny_benchmark, fresh_model(cfg, tiny_benchmark))
-    # val and the outlier split, in epoch 1 of each call; later epochs
-    # rerun in those buffers
-    assert allocated == ["val", "train_ood"] * 2
+    # val and val_ood, in epoch 1 of each call; later epochs rerun in
+    # those buffers
+    assert allocated == ["val", "val_ood"] * 2
 
 
 def test_an_eval_pass_validation_reruns_in_the_trace_it_returned(tiny_benchmark):
@@ -745,6 +746,45 @@ def test_the_validation_worker_changes_no_output(
     assert [len(pool) for pool in started_workers] == [1, 2]
     assert all(outcome == outcomes[0] for outcome in outcomes)
     assert len(outcomes[0][1]["records"]) == epochs
+
+
+@pytest.mark.parametrize("objective", ["ce", "ce_l1"])
+def test_an_ood_blind_objective_reads_no_train_ood_row(
+    objective, tiny_benchmark, monkeypatch, started_workers
+):
+    rows = 3.0 * np.random.default_rng(0).normal(size=(7, 2))
+    replaced = dict(tiny_benchmark, train_ood=DatasetSplit(rows, None, "train_ood"))
+    absent = {role: split for role, split in tiny_benchmark.items() if role != "train_ood"}
+    benchmarks = (tiny_benchmark, replaced, absent)
+    cfg = dataclasses.replace(default_config(objective), epochs=3)
+    outcomes = [repr(train_outcome(cfg, b)) for b in benchmarks]
+    assert outcomes == outcomes[:1] * 3
+    # MC validation, in the pool's workers and then inline
+    cfg = mc_config(objective, epochs=3)
+    outcomes = [repr(outcome) for b in benchmarks
+                for outcome in both_paths(cfg, b, monkeypatch, started_workers)[0]]
+    assert outcomes == outcomes[:1] * 6
+
+
+def test_validation_scores_val_ood_on_both_paths(
+    tiny_benchmark, monkeypatch, started_workers, tmp_path
+):
+    log = tmp_path / "scored"
+    parent = os.getpid()
+    real = trainer_mod._score_epoch
+
+    def spy(model, val, val_ood, *args):
+        # logged to a file, so that calls in validation workers show too
+        with open(log, "a") as fh:
+            fh.write(f"{val.role} {val_ood.role} {os.getpid() != parent}\n")
+        return real(model, val, val_ood, *args)
+
+    monkeypatch.setattr(trainer_mod, "_score_epoch", spy)
+    both_paths(mc_config("ce_cosine", epochs=2), tiny_benchmark, monkeypatch,
+               started_workers)
+    # two epochs in the pool's workers, then two inline
+    assert sorted(log.read_text().splitlines()) == (
+        ["val val_ood False"] * 2 + ["val val_ood True"] * 2)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -894,7 +934,7 @@ def test_the_worker_passes_messages_larger_than_the_pipe_buffer(
     floats = 3 * sndbuf // 16
     width = math.isqrt(floats) + 1
     rows = np.random.default_rng(0).normal(size=(floats, 2))
-    benchmark = dict(tiny_benchmark, train_ood=DatasetSplit(rows, None, "train_ood"))
+    benchmark = dict(tiny_benchmark, val_ood=DatasetSplit(rows, None, "val_ood"))
     cfg = TrainConfig(objective="ce", epochs=3, dropout_rate=0.2,
                       hidden_dims=(width, width))
     assert sum(a.size for a in fresh_model(cfg, benchmark).weights) > floats
@@ -918,7 +958,7 @@ def test_the_worker_passes_messages_larger_than_the_pipe_buffer(
 
 def test_the_worker_task_scores_as_the_inline_path(tiny_benchmark, monkeypatch):
     model = init_mlp([2, 8, 3], dropout_rate=0.3, seed=0)
-    val, ood = tiny_benchmark["val"], tiny_benchmark["train_ood"]
+    val, ood = tiny_benchmark["val"], tiny_benchmark["val_ood"]
     # what _init_validation_worker keeps for a worker: a model whose
     # parameters view one flat vector, and the splits
     flat = np.zeros(sum(a.size for a in model.weights + model.biases))
