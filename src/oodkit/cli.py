@@ -220,6 +220,12 @@ def _check_input_dim(model: MlpModel, split) -> None:
         )
 
 
+def _nearest_existing(path: Path) -> Path:
+    """path itself if it exists, else its nearest existing ancestor (a
+    relative path ends at '.', which always exists)."""
+    return next(p for p in (path, *path.parents) if os.path.lexists(p))
+
+
 def _resolve_out(arg_out: str | None, command: str) -> Path:
     """--out wins; otherwise $OODKIT_OUT_ROOT/<command>. Neither it nor its
     nearest existing ancestor may be anything but a directory, or the
@@ -230,7 +236,7 @@ def _resolve_out(arg_out: str | None, command: str) -> Path:
             f"no output directory: pass --out or set {OUT_ROOT_ENV}"
         )
     out = Path(arg_out) if arg_out is not None else Path(root) / command
-    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    existing = _nearest_existing(out)
     if not existing.is_dir():
         raise ConfigError(f"output directory {out} cannot be made: {existing} "
                           "is not a directory")
@@ -239,11 +245,12 @@ def _resolve_out(arg_out: str | None, command: str) -> Path:
 
 @contextlib.contextmanager
 def _staged(out_dir: Path):
-    """A temporary directory beside out_dir for a command's files. Once
-    the body succeeds, out_dir is made and the files move into it; the
-    temporary directory is removed however the body ends."""
-    anchor = next(p for p in out_dir.parents if p.is_dir())
-    stage = Path(tempfile.mkdtemp(prefix=".oodkit-", dir=anchor))
+    """A temporary directory for a command's files, made inside out_dir if
+    it exists, else in the ancestor out_dir will be made in, so the final
+    moves never cross a filesystem. Once the body succeeds, out_dir is made
+    and the files move into it; the temporary directory is removed however
+    the body ends."""
+    stage = Path(tempfile.mkdtemp(prefix=".oodkit-", dir=_nearest_existing(out_dir)))
     try:
         yield stage
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -685,6 +685,47 @@ def test_an_eval_export_too_large_to_allocate_exits_2_and_writes_nothing(
             assert [p.name for p in kept.iterdir()] == ["notes.txt"]
 
 
+def test_eval_into_the_working_directory(pipeline, tmp_path, monkeypatch):
+    # '.' has no parents, so eval must stage inside --out itself
+    reference = tmp_path / "reference"
+    assert run_eval(pipeline, reference) == 0
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert run_eval(pipeline, ".") == 0
+    names = sorted(p.name for p in reference.iterdir())
+    assert sorted(p.name for p in cwd.iterdir()) == names
+    for name in names:
+        if name != "manifest.json":
+            assert (cwd / name).read_bytes() == (reference / name).read_bytes(), name
+
+
+def test_eval_into_an_existing_out_stages_inside_it(pipeline, tmp_path, monkeypatch):
+    # --out exists, so the stage lives inside it: its parent may be read-only
+    # or on another filesystem without the final moves failing
+    out = tmp_path / "existing"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine\n")
+    staged_in = []
+    original = oodkit.cli.tempfile.mkdtemp
+
+    def spy(*args, **kwargs):
+        staged_in.append(Path(kwargs["dir"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oodkit.cli.tempfile, "mkdtemp", spy)
+    assert run_eval(pipeline, out) == 0
+    assert staged_in == [out]
+    assert "notes.txt" in {p.name for p in out.iterdir()}
+    assert not [p for p in out.iterdir() if p.name.startswith(".oodkit-")]
+    assert (out / "results.json").exists()
+    # a --out yet to be made is staged in its nearest existing ancestor
+    staged_in.clear()
+    assert run_eval(pipeline, tmp_path / "new" / "eval") == 0
+    assert staged_in == [tmp_path]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "new"]
+
+
 def test_train_without_outlier_split_exits_3(pipeline, tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()
